@@ -18,9 +18,9 @@ from .branching import (
     branch_space_homology,
     colimit_matches_germ_fiber,
     diagram_colimit,
+    extension_category,
     final_subdiagram_check,
     germ_space,
-    grothendieck_category,
     homology_table,
     restricted_subcategory,
 )

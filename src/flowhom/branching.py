@@ -8,11 +8,15 @@ Three independent routes to the same space live here:
   colimit of a diagram of path-set products indexed by the order complex
   of the states strictly above (below) the base state;
 * :func:`branch_space_homology` computes the homotopy-invariant version:
-  the homology of the nerve of the Grothendieck construction of the same
-  diagram, which realizes its homotopy colimit.
+  the homology of the nerve of the extension category E_a (path classes
+  from the base state, one arrow x -> x*y per extension y), which realizes
+  the homotopy colimit of the same diagram.
 
 The first two must agree exactly (this library's central cross-check); the
-third feeds the graded homology tables.
+third feeds the graded homology tables.  The nerve of the Grothendieck
+construction of the diagram (:func:`grothendieck_category`) is the
+barycentric subdivision of the nerve of E_a; it has no production caller
+and is kept as the test oracle for the third route.
 """
 
 from __future__ import annotations
@@ -59,12 +63,6 @@ class GermSpace:
 
     def fiber(self, state: str) -> tuple[tuple[Word, ...], ...]:
         return tuple(c for c in self.classes if self.anchor[c] == state)
-
-    def germ_of(self, path: Word) -> tuple[Word, ...]:
-        for c in self.classes:
-            if path in c:
-                return c
-        raise KeyError(path)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -287,7 +285,38 @@ def final_subdiagram_check(diagram: BranchDiagram) -> bool:
     )
 
 
-# -- homotopy branching space via the Grothendieck construction -------------
+# -- homotopy branching space via the extension category ---------------------
+
+
+def extension_category(flow: Flow, state: str, sign: str) -> LoopFreeCategory:
+    """The extension category E_a at a state (minus), or of the opposite
+    flow (plus).
+
+    Objects are the path classes x starting at the state; each nonempty
+    class y starting at target(x) gives one arrow (x, y): x -> x*y, and
+    (x, y) followed by (x*y, z) composes to (x, y*z).  Targets strictly
+    advance along arrows, so the category is loop-free.  The Grothendieck
+    construction of the branch diagram is the category of simplices of
+    the nerve of E_a (Thomason 1979), so both nerves have the same
+    homology; the nerve of E_a has a single cell per diagram object.
+    """
+    _check_sign(sign)
+    if state not in set(flow.states):
+        raise UnknownState(repr(state))
+    working = flow if sign == MINUS else flow.opposite()
+    starting: dict[str, list[Word]] = {}
+    for a, b in working.nonempty_pairs():
+        starting.setdefault(a, []).extend(working.path_set(a, b))
+    objects = starting.get(state, [])
+    arrows = {}
+    for x in objects:
+        for y in starting.get(working.target(x), ()):
+            arrows[(x, y)] = (x, working.compose(x, y))
+    compose = {}
+    for (x, y), (_, xy) in arrows.items():
+        for z in starting.get(working.target(y), ()):
+            compose[((x, y), (xy, z))] = (x, working.compose(y, z))
+    return LoopFreeCategory(objects, arrows, compose)
 
 
 def grothendieck_category(diagram: BranchDiagram) -> LoopFreeCategory:
@@ -295,6 +324,9 @@ def grothendieck_category(diagram: BranchDiagram) -> LoopFreeCategory:
 
     Simplex size strictly drops along arrows, so the category is loop-free,
     and single-face arrows compose into the unique subchain transports.
+    Its nerve is the barycentric subdivision of the nerve of
+    :func:`extension_category`; this route has no production caller and is
+    kept as a test oracle for it.
     """
     objects = []
     for s in diagram.simplices:
@@ -367,14 +399,15 @@ EMPTY_SPACE = SpaceHomology(empty=True)
 def branch_space_homology(flow: Flow, state: str, sign: str) -> SpaceHomology:
     """Homology of the homotopy branching (merging) space at a state.
 
-    Built as the nerve of the Grothendieck construction of the branch
-    diagram; for set-valued diagrams this nerve realizes the homotopy
-    colimit up to weak equivalence, so its homology is the invariant one.
+    Built as the nerve of the extension category, which realizes the
+    homotopy colimit of the branch diagram up to weak equivalence, so its
+    homology is the invariant one.  No path class from the state means an
+    empty space.
     """
-    diagram = branch_diagram(flow, state, sign)
-    if diagram.is_empty:
+    category = extension_category(flow, state, sign)
+    if not category.objects:
         return EMPTY_SPACE
-    complex_ = nerve(grothendieck_category(diagram))
+    complex_ = nerve(category)
     groups = tuple(homology(complex_, n) for n in range(len(complex_.dims)))
     reduced = (homology(complex_, 0, reduced=True),) + groups[1:]
     return SpaceHomology(empty=False, groups=groups, reduced=reduced)

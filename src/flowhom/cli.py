@@ -337,7 +337,7 @@ def cmd_selftest(args, rep: Reporter) -> int:
     bad, checked = [], 0
     for i in range(count):
         flow = random_loopless_flow(random.Random(rng.randrange(2**30)),
-                                    max_states=7, max_height=5, max_cells=1500)
+                                    max_states=7, max_height=5, max_weight=750)
         checked += 1
         if not homology_table(flow, PLUS).same_groups(
             homology_table(flow.opposite(), MINUS)

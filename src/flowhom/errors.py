@@ -66,7 +66,9 @@ class ParseError(FlowHomError):
 
 
 class DuplicateName(ParseError):
-    """Two blocks of the same kind sharing a name."""
+    """Two blocks of the same kind sharing a name, or two lines of one
+    block giving the same key (a ``send`` source, a ``map`` point or a
+    ``path`` pair)."""
 
 
 class UnresolvedReference(ParseError):

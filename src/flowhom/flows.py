@@ -54,12 +54,6 @@ class FlowPresentation:
             if src == tgt:
                 raise LoopError(f"generator {name!r} loops at {src!r}")
 
-    def arrow(self, name: str) -> tuple[str, str]:
-        for n, s, t in self.generators:
-            if n == name:
-                return (s, t)
-        raise KeyError(name)
-
 
 class Flow:
     """An elaborated flow: tabulated path classes with their composition.

@@ -21,7 +21,7 @@ Z
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import CyclicCategory, DegreeOutOfRange
 from .poset import OrderComplex, Poset
@@ -215,19 +215,6 @@ def _non_multiple(a, t: int, m: int, n: int, d: int) -> int | None:
     return None
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 # -- homology groups ----------------------------------------------------------
 
 
@@ -257,27 +244,17 @@ class HomologyGroup:
 
     def direct_sum(self, *others: "HomologyGroup") -> "HomologyGroup":
         """
+        The torsion is renormalized as the invariant factors of the
+        diagonal matrix of all input coefficients, with the units dropped.
+
         >>> print(HomologyGroup(1, (2,)).direct_sum(HomologyGroup(0, (3,))))
         Z (+) Z/6
         """
         groups = (self, *others)
         betti = sum(g.betti for g in groups)
-        primes: dict[int, list[int]] = {}
-        for g in groups:
-            for t in g.torsion:
-                for p, e in _factorize(t).items():
-                    primes.setdefault(p, []).append(e)
-        depth = max((len(v) for v in primes.values()), default=0)
-        chain = []
-        for k in range(depth):  # k = 0 collects the largest exponents
-            value = 1
-            for p, exps in primes.items():
-                exps = sorted(exps, reverse=True)
-                if k < len(exps):
-                    value *= p ** exps[k]
-            chain.append(value)
-        chain.reverse()
-        return HomologyGroup(betti, tuple(chain))
+        torsion = [t for g in groups for t in g.torsion]
+        factors = invariant_factors_sparse([{i: t} for i, t in enumerate(torsion)])
+        return HomologyGroup(betti, tuple(t for t in factors if t > 1))
 
     def __str__(self) -> str:
         parts = []
@@ -415,29 +392,29 @@ def homology_ranks(complex_: ChainComplex, reduced: bool = False) -> list[Homolo
 # -- simplicial chains of an order complex --------------------------------
 
 
-def complex_of_order_complex(k: OrderComplex) -> ChainComplex:
-    """Simplicial chain complex with the ordered-vertex orientation."""
-    dims = []
-    index: list[dict] = []
-    d = 0
-    while k.of_dim(d) or d == 0:
-        basis = k.of_dim(d)
-        if d > 0 and not basis:
-            break
-        dims.append(len(basis))
-        index.append({s: i for i, s in enumerate(basis)})
-        d += 1
+def _complex_of_cells(levels: list[Sequence], faces: Callable) -> ChainComplex:
+    """Chain complex with basis ``levels[n]`` in degree n; the boundary of
+    a cell is the alternating sum of the cells ``faces(cell)`` lists."""
+    index = [{c: i for i, c in enumerate(level)} for level in levels]
     boundaries = []
-    for n in range(1, len(dims)):
+    for n in range(1, len(levels)):
         cols: list[Column] = []
-        for simplex in k.of_dim(n):
+        for cell in levels[n]:
             col: Column = {}
-            for i, face in enumerate(OrderComplex.faces(simplex)):
+            for i, face in enumerate(faces(cell)):
                 row = index[n - 1][face]
                 col[row] = col.get(row, 0) + (-1) ** i
             cols.append({r: v for r, v in col.items() if v})
         boundaries.append(cols)
-    return ChainComplex(dims, boundaries)
+    return ChainComplex([len(level) for level in levels], boundaries)
+
+
+def complex_of_order_complex(k: OrderComplex) -> ChainComplex:
+    """Simplicial chain complex with the ordered-vertex orientation."""
+    levels = [k.of_dim(0)]
+    while k.of_dim(len(levels)):
+        levels.append(k.of_dim(len(levels)))
+    return _complex_of_cells(levels, OrderComplex.faces)
 
 
 # -- finite loop-free categories and their nerves --------------------------
@@ -571,19 +548,7 @@ def nerve(category: LoopFreeCategory) -> ChainComplex:
             break
         levels.append(chains)
         n += 1
-    dims = [len(level) for level in levels]
-    index = [{c: i for i, c in enumerate(level)} for level in levels]
-    boundaries = []
-    for n in range(1, len(levels)):
-        cols: list[Column] = []
-        for chain in levels[n]:
-            col: Column = {}
-            for i, face in enumerate(_nerve_faces(category, chain)):
-                row = index[n - 1][face]
-                col[row] = col.get(row, 0) + (-1) ** i
-            cols.append({r: v for r, v in col.items() if v})
-        boundaries.append(cols)
-    return ChainComplex(dims, boundaries)
+    return _complex_of_cells(levels, lambda chain: _nerve_faces(category, chain))
 
 
 def _nerve_faces(category: LoopFreeCategory, chain: tuple) -> list:

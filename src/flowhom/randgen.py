@@ -49,8 +49,9 @@ def random_bounded_poset(
 
 
 def diagram_weight(flow: Flow, cap: int = 10**9) -> int:
-    """Total object count of all branch diagrams: the cost driver for the
-    nerve computations.  Stops early once the cap is exceeded."""
+    """Total object count of all branch diagrams.  Each object is one cell
+    of an extension-category nerve, so this is also the total homology cell
+    count of either sign.  Stops early once the cap is exceeded."""
     order = flow.state_order
     total = 0
     for state in flow.states:
@@ -65,42 +66,6 @@ def diagram_weight(flow: Flow, cap: int = 10**9) -> int:
     return total
 
 
-def homology_cost(flow: Flow, cap: int) -> int:
-    """Total nerve cell count over every per-state space, both signs.
-
-    This is the exact size of the chain complexes the homology pipeline
-    builds, computed by path counting instead of enumeration, with an early
-    abort once the cap is exceeded.  Deep chains make it blow up much
-    faster than the object count alone.
-    """
-    from .branching import MINUS, PLUS, branch_diagram
-
-    total = 0
-    for sign in (MINUS, PLUS):
-        for state in flow.states:
-            diagram = branch_diagram(flow, state, sign)
-            objects: list = []
-            for s in diagram.simplices:
-                objects.extend((s, e) for e in diagram.vertex_set(s))
-                if total + len(objects) > cap:
-                    return total + len(objects)
-            targets: dict = {}
-            for s, e in objects:
-                n = len(s)
-                outs = []
-                for mask in range(1, (1 << n) - 1):
-                    t = tuple(s[i] for i in range(n) if mask >> i & 1)
-                    outs.append((t, diagram.face(s, t, e)))
-                targets[(s, e)] = outs
-            chains_from: dict = {}
-            for obj in sorted(objects, key=lambda o: len(o[0])):
-                chains_from[obj] = 1 + sum(chains_from[d] for d in targets[obj])
-            total += sum(chains_from.values())
-            if total > cap:
-                return total
-    return total
-
-
 def random_loopless_flow(
     rng: random.Random,
     max_states: int = 10,
@@ -108,14 +73,14 @@ def random_loopless_flow(
     max_words: int = 3000,
     max_height: int | None = None,
     max_weight: int | None = 20000,
-    max_cells: int | None = None,
 ) -> Flow:
     """A random loopless flow: a forward-edge DAG with occasional parallel
     generators and, optionally, random parallel-word relations.
 
-    ``max_weight`` caps the total branch-diagram object count (the cost of
-    set-level colimits); ``max_cells`` caps the nerve cell count (the cost
-    of homology).  Leave the latter off for set-level checks.
+    ``max_weight`` caps the total branch-diagram object count.  That count
+    is the cost of the set-level colimits, and twice it is the total nerve
+    cell count of the homology over both signs, so ``max_weight=N // 2``
+    admits exactly the flows whose homology complexes total at most N cells.
     """
     while True:
         n = rng.randint(2, max_states)
@@ -147,8 +112,6 @@ def random_loopless_flow(
             continue
         if max_weight is not None and diagram_weight(flow, max_weight) > max_weight:
             continue
-        if max_cells is not None and homology_cost(flow, max_cells) > max_cells:
-            continue
         return flow
 
 
@@ -169,8 +132,12 @@ def random_host_flow(rng: random.Random, max_inner: int = 4) -> tuple[Poset, Flo
     return shape, host
 
 
+# cap on the homology cells of each side of a refinement, both signs
+REFINEMENT_MAX_CELLS = 2500
+
+
 def random_refinement_instance(
-    rng: random.Random, max_inner: int = 4, max_cost: int = 2500
+    rng: random.Random, max_inner: int = 4
 ) -> tuple[Flow, TMorphism, BallEmbedding]:
     """A host flow, a poset embedding, and a valid ball embedding.
 
@@ -182,7 +149,7 @@ def random_refinement_instance(
     """
     while True:
         shape, host = random_host_flow(rng, max_inner=max_inner)
-        if homology_cost(host, max_cost) > max_cost:
+        if 2 * diagram_weight(host, REFINEMENT_MAX_CELLS // 2) > REFINEMENT_MAX_CELLS:
             continue
         pairs = list(shape.relation())
         a, b = pairs[rng.randrange(len(pairs))]
@@ -215,7 +182,8 @@ def random_refinement_instance(
         fine = Poset.from_relations(fine_elems, fine_covers)
         pattern = TMorphism(ball, fine, tuple((x, x) for x in ball.elements))
         result = refine_pushout(host, pattern, embedding)
-        if homology_cost(result.refined, max_cost) <= max_cost:
+        cells = 2 * diagram_weight(result.refined, REFINEMENT_MAX_CELLS // 2)
+        if cells <= REFINEMENT_MAX_CELLS:
             return host, pattern, embedding
 
 

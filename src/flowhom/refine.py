@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .branching import MINUS, PLUS, HomologyTable, homology_table
+from .branching import MINUS, PLUS, homology_table
 from .errors import EmbeddingInvalid
 from .flows import Flow, FlowPresentation, Word
 from .poset import Poset
@@ -295,8 +295,3 @@ def check_invariance(host: Flow, result: RefinementResult) -> InvarianceReport:
     checks.append(("graded homology tables agree", not witnesses4, tuple(witnesses4)))
 
     return InvarianceReport(tuple(checks))
-
-
-def table_pair(host: Flow, result: RefinementResult, sign: str) -> tuple[HomologyTable, HomologyTable]:
-    """Convenience for reporting: the two tables a check compares."""
-    return homology_table(host, sign), homology_table(result.refined, sign)

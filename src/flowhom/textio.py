@@ -118,7 +118,7 @@ def _open_block(doc: Document, head: str, words: list[str], lineno: int):
         for ref in (src, dst):
             if ref not in doc.posets:
                 raise UnresolvedReference(lineno, f"poset {ref!r} is not defined")
-        return "tmap", name, {"src": src, "dst": dst, "sends": []}
+        return "tmap", name, {"src": src, "dst": dst, "sends": {}}
     if head == "ball":
         if len(words) != 4 or words[2] != "in":
             raise ParseError(lineno, "usage: ball NAME in FLOW")
@@ -127,7 +127,7 @@ def _open_block(doc: Document, head: str, words: list[str], lineno: int):
             raise DuplicateName(lineno, f"ball {name!r} already defined")
         if flow_name not in doc.flows:
             raise UnresolvedReference(lineno, f"flow {flow_name!r} is not defined")
-        return "ball", name, {"flow": flow_name, "maps": [], "paths": []}
+        return "ball", name, {"flow": flow_name, "maps": {}, "paths": {}}
     raise ParseError(lineno, f"unknown directive {head!r}")
 
 
@@ -163,20 +163,29 @@ def _block_line(block: str, name: str, acc: dict, head: str, words: list[str], l
         if head == "send":
             if len(words) != 4 or words[2] != "->":
                 raise ParseError(lineno, "usage: send a -> b")
-            acc["sends"].append((words[1], words[3]))
+            _put_once(acc["sends"], words[1], words[3], lineno, f"send {words[1]}")
             return
     elif block == "ball":
         if head == "map":
             if len(words) != 4 or words[2] != "->":
                 raise ParseError(lineno, "usage: map p -> s")
-            acc["maps"].append((words[1], words[3]))
+            _put_once(acc["maps"], words[1], words[3], lineno, f"map {words[1]}")
             return
         if head == "path":
             if len(words) != 5 or words[3] != "=":
                 raise ParseError(lineno, "usage: path a b = w")
-            acc["paths"].append(((words[1], words[2]), tuple(words[4].split("."))))
+            _put_once(acc["paths"], (words[1], words[2]), tuple(words[4].split(".")),
+                      lineno, f"path {words[1]} {words[2]}")
             return
     raise ParseError(lineno, f"unknown directive {head!r} in {block} block")
+
+
+def _put_once(entries: dict, key, value, lineno: int, what: str) -> None:
+    """Record a keyed line; a second line for the same key is rejected, so
+    every reader of the block sees the one value that was written."""
+    if key in entries:
+        raise DuplicateName(lineno, f"{what!r} already given in this block")
+    entries[key] = value
 
 
 def _close_block(doc: Document, block: str, name: str, acc: dict, start_line: int):
@@ -193,9 +202,11 @@ def _close_block(doc: Document, block: str, name: str, acc: dict, start_line: in
         except Exception as exc:
             raise ParseError(start_line, f"flow {name!r}: {exc}") from exc
     elif block == "tmap":
-        doc.tmaps[name] = TMapBlock(acc["src"], acc["dst"], tuple(acc["sends"]))
+        doc.tmaps[name] = TMapBlock(acc["src"], acc["dst"], tuple(acc["sends"].items()))
     elif block == "ball":
-        doc.balls[name] = BallBlock(acc["flow"], tuple(acc["maps"]), tuple(acc["paths"]))
+        doc.balls[name] = BallBlock(
+            acc["flow"], tuple(acc["maps"].items()), tuple(acc["paths"].items())
+        )
 
 
 def emit(doc: Document) -> str:

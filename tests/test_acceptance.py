@@ -233,7 +233,7 @@ def test_criterion_duality():
     for _ in range(150):
         flow = random_loopless_flow(
             random.Random(rng.randrange(2**30)),
-            max_states=7, max_height=5, max_cells=1200,
+            max_states=7, max_height=5, max_weight=600,
         )
         checked += 1
         assert homology_table(flow, PLUS).same_groups(

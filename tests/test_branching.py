@@ -19,6 +19,7 @@ from flowhom.branching import (
     branch_space_homology,
     colimit_matches_germ_fiber,
     diagram_colimit,
+    extension_category,
     final_subdiagram_check,
     germ_space,
     grothendieck_category,
@@ -29,7 +30,7 @@ from flowhom.errors import UnknownState
 from flowhom.flows import flow_of_poset, glob
 from flowhom.homology import HomologyGroup, ZERO_GROUP, homology, homology_ranks, nerve
 from flowhom.poset import Poset
-from flowhom.randgen import random_loopless_flow
+from flowhom.randgen import diagram_weight, random_loopless_flow
 
 from test_poset import two_routes_poset
 
@@ -218,6 +219,38 @@ class TestGrothendieck:
         assert len(cat.objects) == 9
 
 
+class TestExtensionCategory:
+    def test_matches_grothendieck_oracle(self):
+        # the Grothendieck nerve is the barycentric subdivision of the
+        # nerve of E_a: same groups in every degree, same top degree
+        rng = random.Random(42)
+        spaces = 0
+        for _ in range(60):
+            flow = random_loopless_flow(rng, max_states=6, max_weight=200)
+            cells = 0
+            for sign in (MINUS, PLUS):
+                for state in flow.states:
+                    category = extension_category(flow, state, sign)
+                    cells += sum(nerve(category).dims)
+                    h = branch_space_homology(flow, state, sign)
+                    d = branch_diagram(flow, state, sign)
+                    assert h.empty == d.is_empty
+                    if d.is_empty:
+                        continue
+                    spaces += 1
+                    oracle = nerve(grothendieck_category(d))
+                    assert len(h.groups) == len(oracle.dims)
+                    assert list(h.groups) == homology_ranks(oracle)
+                    assert h.reduced[0] == homology(oracle, 0, reduced=True)
+            # one nerve cell per branch-diagram object, for either sign
+            assert cells == 2 * diagram_weight(flow)
+        assert spaces >= 300
+
+    def test_unknown_state(self):
+        with pytest.raises(UnknownState):
+            extension_category(two_routes_flow(), "nowhere", PLUS)
+
+
 class TestSpaceHomology:
     def test_two_routes_contractible_fibers(self):
         flow = two_routes_flow()
@@ -248,7 +281,7 @@ class TestSpaceHomology:
     def test_plus_is_minus_of_opposite(self):
         rng = random.Random(36)
         for _ in range(10):
-            flow = random_loopless_flow(rng, max_states=6, max_cells=800)
+            flow = random_loopless_flow(rng, max_states=6, max_weight=400)
             for state in flow.states:
                 left = branch_space_homology(flow, state, PLUS)
                 right = branch_space_homology(flow.opposite(), state, MINUS)
@@ -297,7 +330,7 @@ class TestHomologyTable:
     def test_degree_zero_counts_endpoints(self):
         rng = random.Random(38)
         for _ in range(10):
-            flow = random_loopless_flow(rng, max_states=6, max_cells=800)
+            flow = random_loopless_flow(rng, max_states=6, max_weight=400)
             assert homology_table(flow, MINUS).group(0).betti == len(
                 flow.final_states()
             )
@@ -308,7 +341,7 @@ class TestHomologyTable:
     def test_duality(self):
         rng = random.Random(39)
         for _ in range(10):
-            flow = random_loopless_flow(rng, max_states=6, max_cells=800)
+            flow = random_loopless_flow(rng, max_states=6, max_weight=400)
             assert homology_table(flow, PLUS).same_groups(
                 homology_table(flow.opposite(), MINUS)
             )
@@ -385,7 +418,7 @@ class TestHomologyTable:
 
         rng = random.Random(41)
         for _ in range(12):
-            flow = random_loopless_flow(rng, max_states=6, max_cells=600)
+            flow = random_loopless_flow(rng, max_states=6, max_weight=300)
             for state in flow.states:
                 d = branch_diagram(flow, state, MINUS)
                 if d.is_empty:

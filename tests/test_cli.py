@@ -47,6 +47,15 @@ class TestHomologyCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_duplicate_map_line_exit_two(self, tmp_path, capsys):
+        doc = tmp_path / "dup.fhm"
+        doc.write_text(SAMPLE.read_text().replace(
+            "  map p1 -> B\n", "  map p1 -> B\n  map p1 -> C\n"))
+        code, _, err = run(capsys, "check-invariance", str(doc),
+                           "--flow", "FP", "--ball", "EDGE", "--tmap", "SUBDIV")
+        assert code == 2
+        assert "map p1" in err
+
     def test_json_lines(self, capsys):
         code, out, _ = run(
             capsys, "homology", str(SAMPLE), "--flow", "FP", "--minus", "--json-lines"

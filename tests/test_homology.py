@@ -123,6 +123,13 @@ class TestHomologyGroup:
         assert two.direct_sum(two) == HomologyGroup(0, (2, 2))
         twelve, eighteen = HomologyGroup(0, (12,)), HomologyGroup(0, (18,))
         assert twelve.direct_sum(eighteen) == HomologyGroup(0, (6, 36))
+        four, six = HomologyGroup(0, (4,)), HomologyGroup(0, (6,))
+        assert four.direct_sum(six) == HomologyGroup(0, (2, 12))
+        # a large prime coefficient must not need factoring
+        mersenne = 2**61 - 1
+        assert HomologyGroup(0, (3,)).direct_sum(
+            HomologyGroup(1, (mersenne,))
+        ) == HomologyGroup(1, (3 * mersenne,))
 
     def test_validation(self):
         with pytest.raises(ValueError):

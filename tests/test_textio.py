@@ -56,6 +56,21 @@ class TestParse:
         with pytest.raises(DuplicateName):
             parse("poset P\nend\nposet P\nend\n")
 
+    def test_duplicate_keyed_line(self):
+        # every reader of a tmap or ball block must see the same value, so
+        # a second line for one key is rejected at that line
+        text = SAMPLE.read_text()
+        for line, extra in (
+            ("  send p1 -> q1\n", "  send p1 -> qm\n"),
+            ("  map p1 -> B\n", "  map p1 -> C\n"),
+            ("  path p0 p1 = uAB\n", "  path p0 p1 = uAB\n"),
+        ):
+            lines = text.splitlines(keepends=True)
+            at = lines.index(line) + 1
+            with pytest.raises(DuplicateName) as err:
+                parse("".join(lines[:at] + [extra] + lines[at:]))
+            assert err.value.line == at + 1
+
     def test_unresolved_reference(self):
         with pytest.raises(UnresolvedReference):
             parse("flow F\n  state a\nend\nball B in G\nend\n")
