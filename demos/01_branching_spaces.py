@@ -11,7 +11,7 @@ The poset has two routes from bottom to top, one of them two steps long:
 
 We compute the space of "germs of paths leaving a state" (1) directly as a
 universal quotient, (2) as the colimit of a diagram of path-set products,
-and (3) up to homotopy, via the nerve of the Grothendieck construction.
+and (3) up to homotopy, via the nerve of the extension category E_a.
 Along the way we meet the counterexample that motivates the whole setup:
 restricting the diagram to its two lowest levels changes the homotopy type
 to a circle.
@@ -19,8 +19,8 @@ to a circle.
 
 from flowhom import (
     MINUS,
+    BranchDiagram,
     Poset,
-    branch_diagram,
     branch_space_homology,
     diagram_colimit,
     flow_of_poset,
@@ -51,13 +51,13 @@ print()
 
 # 2. the same space as a diagram colimit over the order complex of the
 #    states strictly above bot
-diagram = branch_diagram(flow, "bot", MINUS)
+diagram = BranchDiagram(flow, "bot", MINUS)
 print("index simplices above bot:", diagram.simplices)
 print("vertex set over (A, B, top):", diagram.vertex_set(("A", "B", "top")))
 print("colimit size:", len(diagram_colimit(diagram)), "(must match the germ count)")
 print()
 
-# 3. the homotopy-correct version: nerve of the Grothendieck construction
+# 3. the homotopy-correct version: nerve of the extension category E_a
 for state in flow.states:
     h = branch_space_homology(flow, state, MINUS)
     if h.empty:

@@ -10,17 +10,17 @@ branching homology of the opposite flow.
 from flowhom import (
     MINUS,
     PLUS,
+    HomologyTable,
     Poset,
     flow_of_poset,
     glob,
-    homology_table,
 )
 
 
 def show(name, flow):
     print(name)
     for sign, mark in ((MINUS, "-"), (PLUS, "+")):
-        table = homology_table(flow, sign)
+        table = HomologyTable(flow, sign)
         groups = "  ".join(
             f"H_{n}^{mark}={table.group(n)}" for n in range(table.max_degree + 1)
         )
@@ -47,7 +47,7 @@ show("two parallel transitions", glob(2))
 
 # duality in action
 flow = flow_of_poset(fan)
-assert homology_table(flow, PLUS).same_groups(
-    homology_table(flow.opposite(), MINUS)
+assert HomologyTable(flow, PLUS).same_groups(
+    HomologyTable(flow.opposite(), MINUS)
 )
 print("merging homology of the fan == branching homology of the opposite fan")

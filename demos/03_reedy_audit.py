@@ -12,11 +12,11 @@ the per-segment latching maps.
 
 from flowhom import (
     MINUS,
+    BranchDiagram,
     Flow,
     FlowPresentation,
     Poset,
     audit_reedy,
-    branch_diagram,
     check_latching_injective,
     flow_of_poset,
     latching_object,
@@ -52,7 +52,7 @@ print()
 
 # latching objects on the two-route flow
 flow = flow_of_poset(routes)
-diagram = branch_diagram(flow, "bot", MINUS)
+diagram = BranchDiagram(flow, "bot", MINUS)
 print("latching objects at bot:")
 for s in diagram.simplices:
     latch = latching_object(diagram, s)
@@ -64,7 +64,7 @@ print()
 
 gens = tuple((f"{a}>{b}", a, b) for a, b in routes.covers())
 free = Flow(FlowPresentation(routes.elements, gens))
-free_diagram = branch_diagram(free, "bot", MINUS)
+free_diagram = BranchDiagram(free, "bot", MINUS)
 print("same covers presented freely (no relation):",
       "all latching maps injective" if check_latching_injective(free_diagram)
       else "failure")

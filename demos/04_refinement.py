@@ -12,12 +12,12 @@ import random
 
 from flowhom import (
     BallEmbedding,
+    HomologyTable,
     MINUS,
     Poset,
     TMorphism,
     check_invariance,
     glob,
-    homology_table,
     refine_pushout,
     validate_t_morphism,
 )
@@ -41,8 +41,8 @@ result = refine_pushout(g2, pattern, embedding)
 print("refined states:", result.refined.states, "new:", sorted(result.new_states))
 print("path classes s0 -> s1 after refining one branch:",
       len(result.refined.path_set("s0", "s1")))
-print("H_1 before:", homology_table(g2, MINUS).group(1),
-      " after:", homology_table(result.refined, MINUS).group(1))
+print("H_1 before:", HomologyTable(g2, MINUS).group(1),
+      " after:", HomologyTable(result.refined, MINUS).group(1))
 print()
 
 report = check_invariance(g2, result)

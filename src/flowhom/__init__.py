@@ -14,17 +14,15 @@ from .branching import (
     GermSpace,
     HomologyTable,
     SpaceHomology,
-    branch_diagram,
     branch_space_homology,
     colimit_matches_germ_fiber,
     diagram_colimit,
     extension_category,
     final_subdiagram_check,
     germ_space,
-    homology_table,
     restricted_subcategory,
 )
-from .flows import Flow, FlowPresentation, elaborate, flow_of_poset, glob, opposite_flow
+from .flows import Flow, FlowPresentation, flow_of_poset, glob
 from .homology import (
     ChainComplex,
     HomologyGroup,
@@ -44,7 +42,6 @@ from .reedy import (
     audit_reedy,
     binary_pushout_product,
     check_latching_injective,
-    factorize,
     flatten_pairs,
     iterated_pushout_product,
     latching_object,

@@ -4,7 +4,7 @@ Three independent routes to the same space live here:
 
 * :func:`germ_space` computes the universal quotient identifying a path
   with its extensions directly, by union-find over path classes;
-* :func:`branch_diagram` plus :func:`diagram_colimit` computes it as the
+* :class:`BranchDiagram` plus :func:`diagram_colimit` computes it as the
   colimit of a diagram of path-set products indexed by the order complex
   of the states strictly above (below) the base state;
 * :func:`branch_space_homology` computes the homotopy-invariant version:
@@ -22,6 +22,7 @@ and is kept as the test oracle for the third route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import UnknownSimplex, UnknownState
 from .flows import Flow, Word
@@ -30,6 +31,7 @@ from .homology import (
     LoopFreeCategory,
     ZERO_GROUP,
     homology,
+    homology_ranks,
     nerve,
 )
 from .poset import OrderComplex, Simplex
@@ -39,10 +41,18 @@ MINUS = "minus"  # germs of paths beginning the same way (branching)
 PLUS = "plus"  # germs of paths ending the same way (merging)
 
 
-def _check_sign(sign: str) -> str:
+def _check_sign(sign: str) -> None:
     if sign not in (MINUS, PLUS):
         raise ValueError(f"sign must be {MINUS!r} or {PLUS!r}")
-    return sign
+
+
+def _working_flow(flow: Flow, state: str, sign: str) -> Flow:
+    """The flow to read in the minus direction at a known state: the flow
+    itself for minus, its opposite for plus."""
+    _check_sign(sign)
+    if state not in set(flow.states):
+        raise UnknownState(repr(state))
+    return flow if sign == MINUS else flow.opposite()
 
 
 # -- germ quotient ---------------------------------------------------------
@@ -111,13 +121,10 @@ class BranchDiagram:
     """
 
     def __init__(self, flow: Flow, state: str, sign: str):
-        _check_sign(sign)
-        if state not in set(flow.states):
-            raise UnknownState(repr(state))
+        self.working_flow = _working_flow(flow, state, sign)
         self.flow = flow
         self.state = state
         self.sign = sign
-        self.working_flow = flow if sign == MINUS else flow.opposite()
         self.index: OrderComplex = (
             self.working_flow.state_order.strict_upper_set(state).order_complex()
         )
@@ -179,16 +186,17 @@ class BranchDiagram:
         return OrderComplex.faces(simplex)
 
 
-def branch_diagram(flow: Flow, state: str, sign: str) -> BranchDiagram:
-    return BranchDiagram(flow, state, sign)
-
-
 def diagram_colimit(diagram: BranchDiagram) -> SetColimit:
     """Colimit of the set diagram: disjoint union of the vertex sets modulo
     every face identification."""
-    vertex_sets = {s: diagram.vertex_set(s) for s in diagram.simplices}
+    return _face_colimit(diagram, diagram.simplices)
+
+
+def _face_colimit(diagram: BranchDiagram, simplices: Sequence[Simplex]) -> SetColimit:
+    """Colimit of the diagram restricted to simplices closed under faces."""
+    vertex_sets = {s: diagram.vertex_set(s) for s in simplices}
     edges = []
-    for s in diagram.simplices:
+    for s in simplices:
         for f in diagram.single_faces(s):
             edges.append((s, f, lambda e, s=s, f=f: diagram.face(s, f, e)))
     return SetColimit(vertex_sets, edges)
@@ -267,15 +275,10 @@ def final_subdiagram_check(diagram: BranchDiagram) -> bool:
         if len(seen) != len(under):
             return False
     full = diagram_colimit(diagram)
-    vertex_sets = {s: diagram.vertex_set(s) for s in sub_objects}
-    edges = []
-    for s in sub_objects:
-        for f in diagram.single_faces(s):
-            edges.append((s, f, lambda e, s=s, f=f: diagram.face(s, f, e)))
-    sub = SetColimit(vertex_sets, edges)
+    sub = _face_colimit(diagram, sub_objects)
     mapping: dict = {}
     for s in sub_objects:
-        for element in vertex_sets[s]:
+        for element in diagram.vertex_set(s):
             key = sub.class_of(s, element)
             target = full.class_of(s, element)
             if mapping.setdefault(key, target) != target:
@@ -300,10 +303,7 @@ def extension_category(flow: Flow, state: str, sign: str) -> LoopFreeCategory:
     the nerve of E_a (Thomason 1979), so both nerves have the same
     homology; the nerve of E_a has a single cell per diagram object.
     """
-    _check_sign(sign)
-    if state not in set(flow.states):
-        raise UnknownState(repr(state))
-    working = flow if sign == MINUS else flow.opposite()
+    working = _working_flow(flow, state, sign)
     starting: dict[str, list[Word]] = {}
     for a, b in working.nonempty_pairs():
         starting.setdefault(a, []).extend(working.path_set(a, b))
@@ -336,7 +336,7 @@ def grothendieck_category(diagram: BranchDiagram) -> LoopFreeCategory:
     by_source: dict = {}
     for s, element in objects:
         src = (s, element)
-        for t in _proper_subchains(s):
+        for t in OrderComplex.proper_subchains(s):
             dst = (t, diagram.face(s, t, element))
             arrows[(src, dst)] = (src, dst)
             by_source.setdefault(src, []).append((src, dst))
@@ -345,15 +345,6 @@ def grothendieck_category(diagram: BranchDiagram) -> LoopFreeCategory:
         for g in by_source.get(ft, ()):
             compose[(f, g)] = (fs, arrows[g][1])
     return LoopFreeCategory(objects, arrows, compose)
-
-
-def _proper_subchains(simplex: Simplex) -> list[Simplex]:
-    out = []
-    n = len(simplex)
-    for mask in range(1, (1 << n) - 1):
-        sub = tuple(simplex[i] for i in range(n) if mask >> i & 1)
-        out.append(sub)
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 @dataclass(frozen=True)
@@ -408,7 +399,7 @@ def branch_space_homology(flow: Flow, state: str, sign: str) -> SpaceHomology:
     if not category.objects:
         return EMPTY_SPACE
     complex_ = nerve(category)
-    groups = tuple(homology(complex_, n) for n in range(len(complex_.dims)))
+    groups = tuple(homology_ranks(complex_))
     reduced = (homology(complex_, 0, reduced=True),) + groups[1:]
     return SpaceHomology(empty=False, groups=groups, reduced=reduced)
 
@@ -464,7 +455,3 @@ class HomologyTable:
     def __repr__(self) -> str:
         parts = ", ".join(f"H{n}={self.group(n)}" for n in range(self.max_degree + 1))
         return f"HomologyTable({self.sign}: {parts})"
-
-
-def homology_table(flow: Flow, sign: str) -> HomologyTable:
-    return HomologyTable(flow, sign)

@@ -17,11 +17,11 @@ import sys
 from .branching import (
     MINUS,
     PLUS,
-    branch_diagram,
+    BranchDiagram,
+    HomologyTable,
     colimit_matches_germ_fiber,
     diagram_colimit,
     germ_space,
-    homology_table,
 )
 from .errors import EmbeddingInvalid, FlowHomError, ParseError
 from .flows import Flow, flow_of_poset
@@ -44,7 +44,7 @@ from .reedy import (
 )
 from .refine import BallEmbedding, TMorphism, check_invariance, refine_pushout
 from .textio import Document, emit, parse
-from .unionfind import SetColimit
+from .unionfind import product_colimit_splits
 
 
 class Reporter:
@@ -114,7 +114,7 @@ def cmd_homology(args, rep: Reporter) -> int:
     flow = _flow(doc, args.flow)
     sign = _sign(args)
     mark = "-" if sign == MINUS else "+"
-    table = homology_table(flow, sign)
+    table = HomologyTable(flow, sign)
     rep.line(f"command: homology --flow {args.flow} --{sign}",
              kind="command", command="homology", flow=args.flow, sign=sign)
     # report degrees through (longest chain) + 1, or further if nonzero
@@ -154,7 +154,7 @@ def cmd_branch_space(args, rep: Reporter) -> int:
              kind="command", command="branch-space", flow=args.flow, sign=sign)
     for state in states:
         fiber = germs.fiber(state)
-        diagram = branch_diagram(flow, state, sign)
+        diagram = BranchDiagram(flow, state, sign)
         colim = diagram_colimit(diagram)
         agree = colimit_matches_germ_fiber(diagram) and len(colim) == len(fiber)
         ok = ok and agree
@@ -251,7 +251,7 @@ def cmd_selftest(args, rep: Reporter) -> int:
         flow = random_loopless_flow(random.Random(rng.randrange(2**30)))
         for state in flow.states:
             states_checked += 1
-            if not colimit_matches_germ_fiber(branch_diagram(flow, state, MINUS)):
+            if not colimit_matches_germ_fiber(BranchDiagram(flow, state, MINUS)):
                 bad.append(f"instance {i}, state {state}")
     suite("germ-vs-colimit", states_checked, bad)
 
@@ -267,7 +267,7 @@ def cmd_selftest(args, rep: Reporter) -> int:
     bad, simplices = [], 0
     for i in range(count):
         poset = random_bounded_poset(random.Random(rng.randrange(2**30)), max_inner=4, levels=3)
-        diagram = branch_diagram(flow_of_poset(poset), poset.bounds()[0], MINUS)
+        diagram = BranchDiagram(flow_of_poset(poset), poset.bounds()[0], MINUS)
         for s in diagram.simplices:
             simplices += 1
             if not verify_latching_formula(diagram, s):
@@ -280,7 +280,7 @@ def cmd_selftest(args, rep: Reporter) -> int:
                                     max_states=8, relations=False)
         for state in flow.states:
             checked += 1
-            if not check_latching_injective(branch_diagram(flow, state, MINUS)):
+            if not check_latching_injective(BranchDiagram(flow, state, MINUS)):
                 bad.append(f"instance {i}, base {state}")
     suite("latching-injective-free", checked, bad)
 
@@ -295,31 +295,7 @@ def cmd_selftest(args, rep: Reporter) -> int:
             bad.append(f"instance {i}")
         sets, edges = random_set_diagram(sub)
         sets2, edges2 = random_set_diagram(sub)
-        prod_sets = {
-            (u, v): tuple((x, y) for x in sets[u] for y in sets2[v])
-            for u in sets for v in sets2
-        }
-        prod_edges = []
-        for (u, v2, fn) in edges:
-            for w in sets2:
-                prod_edges.append(((u, w), (v2, w),
-                                   lambda e, fn=fn: (fn(e[0]), e[1])))
-        for (u, v2, fn) in edges2:
-            for w in sets:
-                prod_edges.append(((w, u), (w, v2),
-                                   lambda e, fn=fn: (e[0], fn(e[1]))))
-        product_colim = SetColimit(prod_sets, prod_edges)
-        left = SetColimit(sets, edges)
-        right = SetColimit(sets2, edges2)
-        pairs = set()
-        for (u, v2), elements in prod_sets.items():
-            for (x, y) in elements:
-                pairs.add((product_colim.class_of((u, v2), (x, y)),
-                           (left.class_of(u, x), right.class_of(v2, y))))
-        fine = {a for a, _ in pairs}
-        coarse = {b for _, b in pairs}
-        if not (len(fine) == len(coarse) == len(product_colim)
-                and len({a for a, _ in pairs}) == len(pairs)):
+        if not product_colimit_splits(sets, edges, sets2, edges2):
             bad.append(f"instance {i} (product colimit)")
     suite("cube-and-product-colimits", checked, bad)
 
@@ -339,8 +315,8 @@ def cmd_selftest(args, rep: Reporter) -> int:
         flow = random_loopless_flow(random.Random(rng.randrange(2**30)),
                                     max_states=7, max_height=5, max_weight=750)
         checked += 1
-        if not homology_table(flow, PLUS).same_groups(
-            homology_table(flow.opposite(), MINUS)
+        if not HomologyTable(flow, PLUS).same_groups(
+            HomologyTable(flow.opposite(), MINUS)
         ):
             bad.append(f"instance {i}")
     suite("plus-minus-duality", checked, bad)

@@ -58,7 +58,7 @@ class FlowPresentation:
 class Flow:
     """An elaborated flow: tabulated path classes with their composition.
 
-    Construct through :func:`elaborate`, :func:`flow_of_poset` or
+    Construct from a presentation, or through :func:`flow_of_poset` or
     :func:`glob`.  Instances are immutable; equality compares states,
     generators and the whole path structure (not the input presentation).
     """
@@ -258,11 +258,6 @@ class Flow:
         return f"Flow(states={len(self.states)}, paths=[{pairs}])"
 
 
-def elaborate(presentation: FlowPresentation) -> Flow:
-    """Tabulate the flow presented by generators and relations."""
-    return Flow(presentation)
-
-
 def flow_of_poset(p: Poset) -> Flow:
     """The flow with exactly one path class per strictly comparable pair.
 
@@ -289,7 +284,3 @@ def glob(k: int, state_pair: tuple[str, str] = ("0", "1")) -> Flow:
     src, tgt = state_pair
     gens = tuple((f"g{i}", src, tgt) for i in range(1, k + 1))
     return Flow(FlowPresentation((src, tgt), gens))
-
-
-def opposite_flow(flow: Flow) -> Flow:
-    return flow.opposite()

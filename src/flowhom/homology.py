@@ -232,11 +232,11 @@ class HomologyGroup:
     def __post_init__(self):
         if self.betti < 0:
             raise ValueError("negative rank")
+        if any(t < 2 for t in self.torsion):
+            raise ValueError("unit torsion coefficient")
         for prev, cur in zip(self.torsion, self.torsion[1:]):
             if cur % prev:
                 raise ValueError("torsion is not a divisibility chain")
-        if any(t < 2 for t in self.torsion):
-            raise ValueError("unit torsion coefficient")
 
     @property
     def is_zero(self) -> bool:
@@ -345,10 +345,6 @@ class ChainComplex:
         if cached is None:
             cached = self._invariants[n] = invariant_factors_sparse(self._cols[n - 1])
         return list(cached)
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
 
 
 def _composite_vanishes(a_cols: list[Column], b_cols: list[Column]) -> bool:
@@ -494,44 +490,6 @@ class LoopFreeCategory:
                 if self.compose[(fg, h)] != self.compose[(f, self.compose[(g, h)])]:
                     raise ValueError("composition is not associative")
 
-    def composable_chains(self, length: int) -> list[tuple]:
-        """All chains of ``length`` composable non-identity arrows."""
-        if length < 1:
-            raise ValueError("chain length must be positive")
-        chains = [(f,) for f in sorted(self.arrows)]
-        for _ in range(length - 1):
-            chains = [
-                c + (g,)
-                for c in chains
-                for g in self._by_source.get(self.arrows[c[-1]][1], ())
-            ]
-        return chains
-
-    def nerve_cell_count(self, cap: int | None = None) -> int:
-        """Total number of nerve cells in all degrees (object chains).
-
-        Computed by dynamic programming over the arrow graph, so it is cheap
-        even when the nerve itself would be enormous; with ``cap`` the count
-        may stop early once it exceeds the cap.
-        """
-        paths: dict = {}
-
-        def paths_from(f) -> int:
-            cached = paths.get(f)
-            if cached is None:
-                cached = 1 + sum(
-                    paths_from(g) for g in self._by_source.get(self.arrows[f][1], ())
-                )
-                paths[f] = cached
-            return cached
-
-        total = len(self.objects)
-        for f in self.arrows:
-            total += paths_from(f)
-            if cap is not None and total > cap:
-                return total
-        return total
-
 
 def nerve(category: LoopFreeCategory) -> ChainComplex:
     """Chain complex of the nerve: degree n spanned by length-n composable
@@ -541,13 +499,14 @@ def nerve(category: LoopFreeCategory) -> ChainComplex:
     face a chain of non-identity arrows, so no degeneracies appear.
     """
     levels: list[list] = [list(category.objects)]
-    n = 1
-    while True:
-        chains = category.composable_chains(n)
-        if not chains:
-            break
+    chains = [(f,) for f in sorted(category.arrows)]
+    while chains:
         levels.append(chains)
-        n += 1
+        chains = [
+            c + (g,)
+            for c in chains
+            for g in category._by_source.get(category.arrows[c[-1]][1], ())
+        ]
     return _complex_of_cells(levels, lambda chain: _nerve_faces(category, chain))
 
 

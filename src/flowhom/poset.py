@@ -265,3 +265,12 @@ class OrderComplex:
     def faces(simplex: Simplex) -> list[Simplex]:
         """Codimension-one faces, in face-index order."""
         return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
+
+    @staticmethod
+    def proper_subchains(simplex: Simplex) -> list[Simplex]:
+        """Nonempty proper subtuples, in bitmask order."""
+        n = len(simplex)
+        return [
+            tuple(simplex[i] for i in range(n) if mask >> i & 1)
+            for mask in range(1, (1 << n) - 1)
+        ]

@@ -34,7 +34,6 @@ def random_bounded_poset(
             lo, hi = (a, b) if level[a] < level[b] else (b, a)
             if level[lo] < level[hi] and rng.random() < 0.45:
                 covers.append((lo, hi))
-    linked = {v for pair in covers for v in pair}
     bottomed = {b for _, b in covers}
     topped = {a for a, _ in covers}
     for v in inner:
@@ -44,7 +43,6 @@ def random_bounded_poset(
             covers.append((v, "top"))
     if not inner:
         covers.append(("bot", "top"))
-    del linked
     return Poset.from_relations(["bot", "top", *inner], covers)
 
 

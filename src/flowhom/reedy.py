@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
 
-from .branching import BranchDiagram, MINUS, branch_diagram
+from .branching import BranchDiagram, MINUS
 from .errors import NotAnArrow, UnknownLabel, UnknownSimplex
 from .homology import LoopFreeCategory
 from .poset import OrderComplex, Poset, Simplex
@@ -73,13 +73,11 @@ class ReedyStructure:
     def arrows(self) -> list[Arrow]:
         """All non-identity arrows: pairs (src, dst) with dst a proper
         subchain of src."""
-        out = []
-        for src in self.index.simplices:
-            n = len(src)
-            for mask in range(1, (1 << n) - 1):
-                dst = tuple(src[i] for i in range(n) if mask >> i & 1)
-                out.append((src, dst))
-        return out
+        return [
+            (src, dst)
+            for src in self.index.simplices
+            for dst in OrderComplex.proper_subchains(src)
+        ]
 
     def is_minus(self, arrow: Arrow) -> bool:
         src, dst = arrow
@@ -106,10 +104,6 @@ class ReedyStructure:
 
 def reedy_structure(poset: Poset, base: str) -> ReedyStructure:
     return ReedyStructure(poset, base)
-
-
-def factorize(structure: ReedyStructure, arrow: Arrow) -> tuple[Arrow, Arrow]:
-    return structure.factorize(arrow)
 
 
 def matching_category(structure: ReedyStructure, simplex: Simplex) -> LoopFreeCategory:
@@ -308,11 +302,7 @@ def pushout_product(maps: Sequence[SetMap]) -> SetMap:
     """
     cube = CubeDiagram(maps)
     p = len(maps) - 1
-    proper = []
-    for mask in range(1 << (p + 1)):
-        subset = tuple(i for i in range(p + 1) if mask >> i & 1)
-        if len(subset) <= p:
-            proper.append(subset)
+    proper = [(), *OrderComplex.proper_subchains(cube.top)]
     vertex_sets = {s: cube.vertex(s) for s in proper}
     edges = []
     for s in proper:
@@ -386,7 +376,7 @@ def same_fibers(f: SetMap, g: SetMap, translate: Callable | None = None) -> bool
 def segment_inclusion(diagram: BranchDiagram, a: str, b: str) -> SetMap:
     """The latching map of the one-vertex simplex (b) in the diagram based
     at a, with bare path classes as codomain."""
-    local = branch_diagram(diagram.working_flow, a, MINUS)
+    local = BranchDiagram(diagram.working_flow, a, MINUS)
     latch = latching_object(local, (b,))
     mapping = {key: latch.target[key][0] for key in latch.target}
     return SetMap(

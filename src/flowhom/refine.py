@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .branching import MINUS, PLUS, homology_table
+from .branching import MINUS, PLUS, HomologyTable
 from .errors import EmbeddingInvalid
 from .flows import Flow, FlowPresentation, Word
 from .poset import Poset
@@ -56,8 +56,8 @@ def validate_t_morphism(f: TMorphism) -> tuple[bool, list[str]]:
     if src_bounds is None or tgt_bounds is None:
         problems.append("condition 1: both posets must be bounded")
     sent = dict(f.mapping)
-    if sorted(sent) != sorted(f.source.elements):
-        problems.append("condition 2: map must be total on the source")
+    if sorted(a for a, _ in f.mapping) != sorted(f.source.elements):
+        problems.append("condition 2: map must send each source element once")
         return False, problems
     if any(b not in f.target for b in sent.values()):
         problems.append("condition 2: map must land in the target")
@@ -112,8 +112,8 @@ class BallEmbedding:
     def diagnostics(self) -> list[str]:
         problems = []
         sent = dict(self.state_map)
-        if sorted(sent) != sorted(self.ball.elements):
-            return ["state map must be total on the ball"]
+        if sorted(a for a, _ in self.state_map) != sorted(self.ball.elements):
+            return ["state map must send each ball state once"]
         host_states = set(self.host.states)
         if any(s not in host_states for s in sent.values()):
             return ["state map must land in the host states"]
@@ -124,7 +124,7 @@ class BallEmbedding:
         if problems:
             return problems
         chosen = dict(self.path_choice)
-        if sorted(chosen) != sorted(self.ball.relation()):
+        if sorted(pair for pair, _ in self.path_choice) != sorted(self.ball.relation()):
             return ["need exactly one path choice per comparable pair"]
         for (a, b), w in chosen.items():
             if w not in self.host.path_set(sent[a], sent[b]):
@@ -262,7 +262,7 @@ def check_invariance(host: Flow, result: RefinementResult) -> InvarianceReport:
     checks.append(("surrounded: new states lie on old-to-old paths", ok1, ()))
 
     tables = {
-        (which, sign): homology_table(flow, sign)
+        (which, sign): HomologyTable(flow, sign)
         for which, flow in (("host", host), ("refined", refined))
         for sign in (MINUS, PLUS)
     }

@@ -78,3 +78,35 @@ class SetColimit:
 
     def __len__(self) -> int:
         return len(self.classes)
+
+
+def product_colimit_splits(left_sets, left_edges, right_sets, right_edges) -> bool:
+    """Whether the colimit of the product of two set diagrams (given as for
+    :class:`SetColimit`) is in bijection with the product of their colimits.
+
+    The product diagram is indexed by pairs of nodes; each edge of one
+    factor acts beside every node of the other.
+    """
+    left = SetColimit(left_sets, left_edges)
+    right = SetColimit(right_sets, right_edges)
+    prod_sets = {
+        (u, v): tuple((x, y) for x in left_sets[u] for y in right_sets[v])
+        for u in left_sets for v in right_sets
+    }
+    prod_edges = [
+        ((u, w), (v, w), lambda e, fn=fn: (fn(e[0]), e[1]))
+        for (u, v, fn) in left_edges for w in right_sets
+    ] + [
+        ((w, u), (w, v), lambda e, fn=fn: (e[0], fn(e[1])))
+        for (u, v, fn) in right_edges for w in left_sets
+    ]
+    product = SetColimit(prod_sets, prod_edges)
+    pairs = {
+        (product.class_of(node, e),
+         (left.class_of(node[0], e[0]), right.class_of(node[1], e[1])))
+        for node, elements in prod_sets.items()
+        for e in elements
+    }
+    fine = {a for a, _ in pairs}
+    coarse = {b for _, b in pairs}
+    return len(pairs) == len(fine) == len(coarse) == len(product)

@@ -11,9 +11,9 @@ import time
 from flowhom.branching import (
     MINUS,
     PLUS,
-    branch_diagram,
+    BranchDiagram,
+    HomologyTable,
     colimit_matches_germ_fiber,
-    homology_table,
 )
 from flowhom.flows import flow_of_poset
 from flowhom.homology import HomologyGroup, homology, nerve
@@ -37,7 +37,7 @@ from flowhom.reedy import (
 )
 from flowhom.refine import BallEmbedding, TMorphism, check_invariance, refine_pushout
 from flowhom.branching import restricted_subcategory
-from flowhom.unionfind import SetColimit
+from flowhom.unionfind import product_colimit_splits
 
 from test_poset import two_routes_poset
 
@@ -56,7 +56,7 @@ def test_criterion_two_route_ball():
     started = time.perf_counter()
     flow = flow_of_poset(two_routes_poset())
     for sign, absent in ((MINUS, "top"), (PLUS, "bot")):
-        table = homology_table(flow, sign)
+        table = HomologyTable(flow, sign)
         assert table.group(0) == Z
         for n in range(1, table.max_degree + 2):
             assert table.group(n).is_zero
@@ -74,7 +74,7 @@ def test_criterion_circle_counterexample():
     """The two-level restriction of the two-route diagram has the homology of
     a circle: the full diagram is genuinely needed."""
     started = time.perf_counter()
-    diagram = branch_diagram(flow_of_poset(two_routes_poset()), "bot", MINUS)
+    diagram = BranchDiagram(flow_of_poset(two_routes_poset()), "bot", MINUS)
     category = restricted_subcategory(diagram)
     assert len(category.objects) == 8
     assert len(category.arrows) == 8
@@ -97,7 +97,7 @@ def test_criterion_colimit_equals_germs():
         flows += 1
         for state in flow.states:
             states += 1
-            assert colimit_matches_germ_fiber(branch_diagram(flow, state, MINUS))
+            assert colimit_matches_germ_fiber(BranchDiagram(flow, state, MINUS))
     report("colimit-vs-germ oracle", started, 60.0,
            f"{flows} flows, {states} states in exact bijection")
 
@@ -130,7 +130,7 @@ def test_criterion_latching_formula():
         p = random_bounded_poset(random.Random(rng.randrange(2**30)), max_inner=4, levels=3)
         flow = flow_of_poset(p)
         for state in p.elements:
-            diagram = branch_diagram(flow, state, MINUS)
+            diagram = BranchDiagram(flow, state, MINUS)
             diagrams += 1
             for s in diagram.simplices:
                 simplices += 1
@@ -143,7 +143,7 @@ def test_criterion_latching_formula():
         )
         for state in flow.states:
             free_checked += 1
-            assert check_latching_injective(branch_diagram(flow, state, MINUS))
+            assert check_latching_injective(BranchDiagram(flow, state, MINUS))
     report("latching = pushout product", started, 60.0,
            f"{diagrams} diagrams / {simplices} simplices; "
            f"{free_checked} cell-flow diagrams injective")
@@ -164,27 +164,7 @@ def test_criterion_cube_calculus():
 
         sets1, edges1 = random_set_diagram(rng)
         sets2, edges2 = random_set_diagram(rng)
-        left, right = SetColimit(sets1, edges1), SetColimit(sets2, edges2)
-        prod_sets = {
-            (u, v): tuple((x, y) for x in sets1[u] for y in sets2[v])
-            for u in sets1 for v in sets2
-        }
-        prod_edges = [
-            ((u, w), (v, w), lambda e, fn=fn: (fn(e[0]), e[1]))
-            for (u, v, fn) in edges1 for w in sets2
-        ] + [
-            ((w, u), (w, v), lambda e, fn=fn: (e[0], fn(e[1])))
-            for (u, v, fn) in edges2 for w in sets1
-        ]
-        product = SetColimit(prod_sets, prod_edges)
-        mapping = {}
-        for node, elements in prod_sets.items():
-            for element in elements:
-                key = product.class_of(node, element)
-                val = (left.class_of(node[0], element[0]),
-                       right.class_of(node[1], element[1]))
-                assert mapping.setdefault(key, val) == val
-        assert len(set(mapping.values())) == len(mapping) == len(product)
+        assert product_colimit_splits(sets1, edges1, sets2, edges2)
     report("cube calculus", started, 30.0, f"{samples} samples, arity <= 4")
 
 
@@ -208,8 +188,8 @@ def test_criterion_invariance():
     )
     result = refine_pushout(fan, pattern, embedding)
     assert check_invariance(fan, result).passed
-    assert homology_table(fan, MINUS).group(1) == Z
-    assert homology_table(result.refined, MINUS).group(1) == Z
+    assert HomologyTable(fan, MINUS).group(1) == Z
+    assert HomologyTable(result.refined, MINUS).group(1) == Z
 
     rng = random.Random(2028)
     instances = 0
@@ -236,16 +216,16 @@ def test_criterion_duality():
             max_states=7, max_height=5, max_weight=600,
         )
         checked += 1
-        assert homology_table(flow, PLUS).same_groups(
-            homology_table(flow.opposite(), MINUS)
+        assert HomologyTable(flow, PLUS).same_groups(
+            HomologyTable(flow.opposite(), MINUS)
         )
     for _ in range(100):
         host, pat, emb = random_refinement_instance(random.Random(rng.randrange(2**30)))
         refined = refine_pushout(host, pat, emb).refined
         for flow in (host, refined):
             checked += 1
-            assert homology_table(flow, PLUS).same_groups(
-                homology_table(flow.opposite(), MINUS)
+            assert HomologyTable(flow, PLUS).same_groups(
+                HomologyTable(flow.opposite(), MINUS)
             )
     report("plus/minus duality", started, 60.0,
            f"{checked} flows, tables equal degreewise")

@@ -15,7 +15,8 @@ from flowhom.branching import (
     EMPTY_SPACE,
     MINUS,
     PLUS,
-    branch_diagram,
+    BranchDiagram,
+    HomologyTable,
     branch_space_homology,
     colimit_matches_germ_fiber,
     diagram_colimit,
@@ -23,7 +24,6 @@ from flowhom.branching import (
     final_subdiagram_check,
     germ_space,
     grothendieck_category,
-    homology_table,
     restricted_subcategory,
 )
 from flowhom.errors import UnknownState
@@ -88,29 +88,29 @@ class TestGermSpace:
 
 class TestBranchDiagram:
     def test_two_routes_vertex_sets(self):
-        d = branch_diagram(two_routes_flow(), "bot", MINUS)
+        d = BranchDiagram(two_routes_flow(), "bot", MINUS)
         assert len(d.simplices) == 9
         triple = d.vertex_set(("A", "B", "top"))
         assert len(triple) == 1
         assert len(triple[0]) == 3  # one class per segment bot-A, A-B, B-top
 
     def test_glob_single_vertex(self):
-        d = branch_diagram(glob(2), "0", MINUS)
+        d = BranchDiagram(glob(2), "0", MINUS)
         assert d.simplices == (("1",),)
         assert len(d.vertex_set(("1",))) == 2
 
     def test_empty_at_top(self):
-        d = branch_diagram(two_routes_flow(), "top", MINUS)
+        d = BranchDiagram(two_routes_flow(), "top", MINUS)
         assert d.is_empty
 
     def test_plus_uses_lower_set(self):
-        d = branch_diagram(two_routes_flow(), "top", PLUS)
+        d = BranchDiagram(two_routes_flow(), "top", PLUS)
         assert not d.is_empty
         assert set(d.index.of_dim(0)) == {("A",), ("B",), ("C",), ("bot",)}
 
     def test_unknown_state(self):
         with pytest.raises(UnknownState):
-            branch_diagram(two_routes_flow(), "nope", MINUS)
+            BranchDiagram(two_routes_flow(), "nope", MINUS)
 
     def test_simplicial_identities_elementwise(self):
         rng = random.Random(33)
@@ -119,7 +119,7 @@ class TestBranchDiagram:
         ]
         for flow in flows:
             for state in flow.states:
-                d = branch_diagram(flow, state, MINUS)
+                d = BranchDiagram(flow, state, MINUS)
                 for s in d.simplices:
                     p = len(s) - 1
                     if p < 2:
@@ -147,13 +147,13 @@ def _drop(simplex, i):
 
 class TestDiagramColimit:
     def test_two_routes_single_element(self):
-        assert len(diagram_colimit(branch_diagram(two_routes_flow(), "bot", MINUS))) == 1
+        assert len(diagram_colimit(BranchDiagram(two_routes_flow(), "bot", MINUS))) == 1
 
     def test_empty_diagram(self):
-        assert len(diagram_colimit(branch_diagram(two_routes_flow(), "top", MINUS))) == 0
+        assert len(diagram_colimit(BranchDiagram(two_routes_flow(), "top", MINUS))) == 0
 
     def test_fan_two_elements(self):
-        assert len(diagram_colimit(branch_diagram(fan_flow(), "z", MINUS))) == 2
+        assert len(diagram_colimit(BranchDiagram(fan_flow(), "z", MINUS))) == 2
 
     def test_matches_germ_fiber_everywhere(self):
         rng = random.Random(34)
@@ -164,20 +164,20 @@ class TestDiagramColimit:
             for state in flow.states:
                 for sign in (MINUS, PLUS):
                     assert colimit_matches_germ_fiber(
-                        branch_diagram(flow, state, sign)
+                        BranchDiagram(flow, state, sign)
                     )
 
 
 class TestFinalSubcategory:
     def test_two_routes(self):
-        d = branch_diagram(two_routes_flow(), "bot", MINUS)
+        d = BranchDiagram(two_routes_flow(), "bot", MINUS)
         cat = restricted_subcategory(d)
         assert len(cat.objects) == 8
         assert len(cat.arrows) == 8
         assert final_subdiagram_check(d)
 
     def test_singleton_index(self):
-        assert final_subdiagram_check(branch_diagram(glob(2), "0", MINUS))
+        assert final_subdiagram_check(BranchDiagram(glob(2), "0", MINUS))
 
     def test_diamond(self):
         diamond = flow_of_poset(
@@ -186,19 +186,19 @@ class TestFinalSubcategory:
                 [("b", "x"), ("b", "y"), ("x", "t"), ("y", "t")],
             )
         )
-        assert final_subdiagram_check(branch_diagram(diamond, "b", MINUS))
+        assert final_subdiagram_check(BranchDiagram(diamond, "b", MINUS))
 
     def test_random(self):
         rng = random.Random(35)
         for _ in range(15):
             flow = random_loopless_flow(rng, max_states=6)
             for state in flow.states:
-                assert final_subdiagram_check(branch_diagram(flow, state, MINUS))
+                assert final_subdiagram_check(BranchDiagram(flow, state, MINUS))
 
 
 class TestCircleCounterexample:
     def test_restricted_nerve_is_a_circle(self):
-        d = branch_diagram(two_routes_flow(), "bot", MINUS)
+        d = BranchDiagram(two_routes_flow(), "bot", MINUS)
         complex_ = nerve(restricted_subcategory(d))
         assert complex_.dims == (8, 8)
         assert homology(complex_, 0) == HomologyGroup(1)
@@ -207,14 +207,14 @@ class TestCircleCounterexample:
 
 class TestGrothendieck:
     def test_arrows_strictly_shrink(self):
-        d = branch_diagram(two_routes_flow(), "bot", MINUS)
+        d = BranchDiagram(two_routes_flow(), "bot", MINUS)
         cat = grothendieck_category(d)
         for (src, dst) in cat.arrows.values():
             assert len(dst[0]) < len(src[0])
 
     def test_two_routes_is_barycentric_subdivision(self):
         # all path sets are singletons, so objects = simplices
-        d = branch_diagram(two_routes_flow(), "bot", MINUS)
+        d = BranchDiagram(two_routes_flow(), "bot", MINUS)
         cat = grothendieck_category(d)
         assert len(cat.objects) == 9
 
@@ -233,7 +233,7 @@ class TestExtensionCategory:
                     category = extension_category(flow, state, sign)
                     cells += sum(nerve(category).dims)
                     h = branch_space_homology(flow, state, sign)
-                    d = branch_diagram(flow, state, sign)
+                    d = BranchDiagram(flow, state, sign)
                     assert h.empty == d.is_empty
                     if d.is_empty:
                         continue
@@ -312,17 +312,17 @@ class TestSpaceHomology:
 
 class TestHomologyTable:
     def test_two_routes_minus(self):
-        table = homology_table(two_routes_flow(), MINUS)
+        table = HomologyTable(two_routes_flow(), MINUS)
         assert table.group(0) == HomologyGroup(1)
         assert all(table.group(n).is_zero for n in range(1, table.max_degree + 2))
 
     def test_two_routes_plus(self):
-        table = homology_table(two_routes_flow(), PLUS)
+        table = HomologyTable(two_routes_flow(), PLUS)
         assert table.group(0) == HomologyGroup(1)
         assert all(table.group(n).is_zero for n in range(1, table.max_degree + 2))
 
     def test_fan_minus(self):
-        table = homology_table(fan_flow(), MINUS)
+        table = HomologyTable(fan_flow(), MINUS)
         assert table.group(0) == HomologyGroup(2)
         assert table.group(1) == HomologyGroup(1)
         assert all(table.group(n).is_zero for n in range(2, table.max_degree + 2))
@@ -331,10 +331,10 @@ class TestHomologyTable:
         rng = random.Random(38)
         for _ in range(10):
             flow = random_loopless_flow(rng, max_states=6, max_weight=400)
-            assert homology_table(flow, MINUS).group(0).betti == len(
+            assert HomologyTable(flow, MINUS).group(0).betti == len(
                 flow.final_states()
             )
-            assert homology_table(flow, PLUS).group(0).betti == len(
+            assert HomologyTable(flow, PLUS).group(0).betti == len(
                 flow.initial_states()
             )
 
@@ -342,8 +342,8 @@ class TestHomologyTable:
         rng = random.Random(39)
         for _ in range(10):
             flow = random_loopless_flow(rng, max_states=6, max_weight=400)
-            assert homology_table(flow, PLUS).same_groups(
-                homology_table(flow.opposite(), MINUS)
+            assert HomologyTable(flow, PLUS).same_groups(
+                HomologyTable(flow.opposite(), MINUS)
             )
 
     def test_ball_tables_are_trivial(self):
@@ -361,7 +361,7 @@ class TestHomologyTable:
             flow = flow_of_poset(p)
             bottom, top = p.bounds()
             for sign, absent in ((MINUS, top), (PLUS, bottom)):
-                table = homology_table(flow, sign)
+                table = HomologyTable(flow, sign)
                 assert table.group(0) == HomologyGroup(1)
                 assert all(
                     table.group(n).is_zero
@@ -375,16 +375,16 @@ class TestHomologyTable:
                         assert h.is_contractible_like()
 
     def test_empty_flow(self):
-        from flowhom.flows import FlowPresentation, elaborate
+        from flowhom.flows import Flow, FlowPresentation
 
-        empty = elaborate(FlowPresentation((), ()))
-        table = homology_table(empty, MINUS)
+        empty = Flow(FlowPresentation((), ()))
+        table = HomologyTable(empty, MINUS)
         assert table.group(0) == ZERO_GROUP
         assert table.max_degree == 0
 
     def test_wide_glob_rank(self):
         # k parallel branches: k - 1 independent degree-1 classes
-        table = homology_table(glob(4), MINUS)
+        table = HomologyTable(glob(4), MINUS)
         assert table.group(0) == HomologyGroup(1)
         assert table.group(1) == HomologyGroup(3)
 
@@ -392,9 +392,9 @@ class TestHomologyTable:
         # a < b < c with two parallel transitions on each step; hand count:
         # the space at a retracts onto the first split (2 points), the one
         # at b onto the second, so degree 1 collects Z + Z
-        from flowhom.flows import FlowPresentation, elaborate
+        from flowhom.flows import Flow, FlowPresentation
 
-        flow = elaborate(
+        flow = Flow(
             FlowPresentation(
                 ("a", "b", "c"),
                 (
@@ -406,7 +406,7 @@ class TestHomologyTable:
         ha = branch_space_homology(flow, "a", MINUS)
         assert ha.reduced_group(0) == HomologyGroup(1)
         assert all(ha.reduced_group(n).is_zero for n in range(1, ha.max_degree + 1))
-        table = homology_table(flow, MINUS)
+        table = HomologyTable(flow, MINUS)
         assert table.group(0) == HomologyGroup(1)
         assert table.group(1) == HomologyGroup(2)
         assert all(table.group(n).is_zero for n in range(2, table.max_degree + 2))
@@ -420,7 +420,7 @@ class TestHomologyTable:
         for _ in range(12):
             flow = random_loopless_flow(rng, max_states=6, max_weight=300)
             for state in flow.states:
-                d = branch_diagram(flow, state, MINUS)
+                d = BranchDiagram(flow, state, MINUS)
                 if d.is_empty:
                     continue
                 complex_ = build_nerve(grothendieck_category(d))

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from flowhom.errors import LoopError, NonParallelRelation, UnknownState
-from flowhom.flows import FlowPresentation, elaborate, flow_of_poset, glob
+from flowhom.flows import Flow, FlowPresentation, flow_of_poset, glob
 from flowhom.poset import Poset
 from flowhom.randgen import random_loopless_flow
 
@@ -76,19 +76,19 @@ def oracle_classes(pres: FlowPresentation, a: str, b: str) -> int:
 
 class TestElaborate:
     def test_two_chain_single_generator(self):
-        flow = elaborate(FlowPresentation(("p0", "p1"), (("u", "p0", "p1"),)))
+        flow = Flow(FlowPresentation(("p0", "p1"), (("u", "p0", "p1"),)))
         assert flow.path_set("p0", "p1") == (("u",),)
         assert flow.nonempty_pairs() == (("p0", "p1"),)
 
     def test_two_routes_with_relation_single_class(self):
         pres = two_routes_presentation(with_relation=True)
         assert oracle_classes(pres, "bot", "top") == 1
-        assert len(elaborate(pres).path_set("bot", "top")) == 1
+        assert len(Flow(pres).path_set("bot", "top")) == 1
 
     def test_two_routes_without_relation_two_classes(self):
         pres = two_routes_presentation(with_relation=False)
         assert oracle_classes(pres, "bot", "top") == 2
-        assert len(elaborate(pres).path_set("bot", "top")) == 2
+        assert len(Flow(pres).path_set("bot", "top")) == 2
 
     def test_oracle_agreement_random(self):
         rng = random.Random(21)
@@ -103,7 +103,7 @@ class TestElaborate:
             ("x", "y"), (("f", "x", "y"), ("g", "y", "x"))
         )
         with pytest.raises(LoopError):
-            elaborate(pres)
+            Flow(pres)
 
     def test_self_loop_generator_rejected(self):
         with pytest.raises(LoopError):
@@ -116,7 +116,7 @@ class TestElaborate:
             ((("f",), ("g",)),),
         )
         with pytest.raises(NonParallelRelation):
-            elaborate(pres)
+            Flow(pres)
 
     def test_relation_order_irrelevant(self):
         gens = (
@@ -127,12 +127,12 @@ class TestElaborate:
         r1 = ((("a1", "a2"), ("c",)), (("b1", "b2"), ("c",)))
         r2 = tuple(reversed(r1))
         states = ("m1", "m2", "s", "t")
-        assert elaborate(FlowPresentation(states, gens, r1)) == elaborate(
+        assert Flow(FlowPresentation(states, gens, r1)) == Flow(
             FlowPresentation(states, gens, r2)
         )
 
     def test_empty_flow_accepted(self):
-        flow = elaborate(FlowPresentation((), ()))
+        flow = Flow(FlowPresentation((), ()))
         assert flow.states == ()
         assert flow.nonempty_pairs() == ()
 
@@ -150,7 +150,7 @@ class TestStateOrder:
         assert order.relation() == (("0", "1"),)
 
     def test_antichain_without_generators(self):
-        flow = elaborate(FlowPresentation(("a", "b", "c"), ()))
+        flow = Flow(FlowPresentation(("a", "b", "c"), ()))
         assert flow.state_order.relation() == ()
 
     def test_no_self_paths(self):
@@ -252,7 +252,7 @@ class TestEndpoints:
         assert fan.final_states() == ("a", "b")
 
     def test_antichain_all_both(self):
-        flow = elaborate(FlowPresentation(("a", "b"), ()))
+        flow = Flow(FlowPresentation(("a", "b"), ()))
         assert flow.initial_states() == ("a", "b")
         assert flow.final_states() == ("a", "b")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from flowhom.branching import MINUS, branch_diagram, colimit_matches_germ_fiber
+from flowhom.branching import MINUS, BranchDiagram, colimit_matches_germ_fiber
 from flowhom.flows import Flow, FlowPresentation
 from flowhom.homology import invariant_factors
 from flowhom.poset import Poset
@@ -90,7 +90,7 @@ def test_invariant_factors_match_sympy(rows):
 @settings(max_examples=40, deadline=None)
 def test_colimit_computes_germs(flow):
     for state in flow.states:
-        assert colimit_matches_germ_fiber(branch_diagram(flow, state, MINUS))
+        assert colimit_matches_germ_fiber(BranchDiagram(flow, state, MINUS))
 
 
 @given(small_flows())

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flowhom.branching import MINUS, PLUS, homology_table
+from flowhom.branching import MINUS, PLUS, HomologyTable
 from flowhom.errors import EmbeddingInvalid, LoopError
 from flowhom.flows import Flow, FlowPresentation, flow_of_poset, glob
 from flowhom.homology import HomologyGroup
@@ -153,6 +153,24 @@ class TestRefinePushout:
         with pytest.raises(EmbeddingInvalid):
             refine_pushout(host, bad, embedding)
 
+    @pytest.mark.parametrize("repeat", ["mapping", "state_map", "path_choice"])
+    def test_repeated_key_rejected(self, repeat):
+        # a key given twice must fail validation, not reach the pushout with
+        # a pair the validators never read
+        host, pattern, embedding = interval_refinement()
+        state_map, path_choice = embedding.state_map, embedding.path_choice
+        if repeat == "mapping":
+            pattern = TMorphism(TWO, THREE, (("p0", "m"), ("p0", "q0"), ("p1", "q1")))
+        elif repeat == "state_map":
+            state_map = (("p0", "s0"), ("p1", "s0"), ("p1", "s1"))
+        else:
+            path_choice = ((("p0", "p1"), ("a",)),) + path_choice
+        embedding = BallEmbedding(
+            ball=TWO, host=host, state_map=state_map, path_choice=path_choice
+        )
+        with pytest.raises(EmbeddingInvalid):
+            refine_pushout(host, pattern, embedding)
+
     def test_non_multiplicative_choice_rejected(self):
         # host: a three-chain with a parallel shortcut class; choosing the
         # shortcut for the long pair breaks multiplicativity
@@ -238,7 +256,7 @@ class TestInvariance:
         result = refine_pushout(host, pattern, embedding)
         report = check_invariance(host, result)
         assert report.passed
-        assert homology_table(result.refined, MINUS).group(0) == HomologyGroup(1)
+        assert HomologyTable(result.refined, MINUS).group(0) == HomologyGroup(1)
 
     def test_branch_refinement_keeps_h1(self):
         fan = flow_of_poset(
@@ -255,8 +273,8 @@ class TestInvariance:
         result = refine_pushout(fan, pattern, embedding)
         report = check_invariance(fan, result)
         assert report.passed
-        assert homology_table(fan, MINUS).group(1) == HomologyGroup(1)
-        assert homology_table(result.refined, MINUS).group(1) == HomologyGroup(1)
+        assert HomologyTable(fan, MINUS).group(1) == HomologyGroup(1)
+        assert HomologyTable(result.refined, MINUS).group(1) == HomologyGroup(1)
 
     def test_glob_branch_keeps_h1(self):
         g2 = glob(2, ("s0", "s1"))
@@ -269,8 +287,8 @@ class TestInvariance:
         )
         result = refine_pushout(g2, pattern, embedding)
         assert check_invariance(g2, result).passed
-        assert homology_table(g2, MINUS).group(1) == HomologyGroup(1)
-        assert homology_table(result.refined, MINUS).group(1) == HomologyGroup(1)
+        assert HomologyTable(g2, MINUS).group(1) == HomologyGroup(1)
+        assert HomologyTable(result.refined, MINUS).group(1) == HomologyGroup(1)
 
     def test_random_instances(self):
         rng = random.Random(62)
@@ -331,6 +349,6 @@ class TestIdentityAndComposition:
         assert check_invariance(mid, second).passed
         # end-to-end: the double refinement preserves the original tables
         for sign in (MINUS, PLUS):
-            assert homology_table(host, sign).same_groups(
-                homology_table(second.refined, sign)
+            assert HomologyTable(host, sign).same_groups(
+                HomologyTable(second.refined, sign)
             )
