@@ -21,7 +21,7 @@ and is kept as the test oracle for the third route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import UnknownSimplex, UnknownState
@@ -64,15 +64,17 @@ class GermSpace:
 
     ``classes`` partitions all path classes into germs; ``anchor`` sends
     each germ to the state where its paths begin (minus) or end (plus).
-    The space decomposes as the disjoint union of the anchor fibers.
+    The space decomposes as the disjoint union of the anchor fibers, which
+    ``fibers`` lists per anchor in the order of ``classes``.
     """
 
     sign: str
     classes: tuple[tuple[Word, ...], ...]
     anchor: dict[tuple[Word, ...], str]
+    fibers: dict[str, tuple[tuple[Word, ...], ...]] = field(repr=False, compare=False)
 
     def fiber(self, state: str) -> tuple[tuple[Word, ...], ...]:
-        return tuple(c for c in self.classes if self.anchor[c] == state)
+        return self.fibers.get(state, ())
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -103,7 +105,12 @@ def germ_space(flow: Flow, sign: str) -> GermSpace:
     anchor = {
         c: (flow.source(c[0]) if sign == MINUS else flow.target(c[0])) for c in classes
     }
-    return GermSpace(sign, classes, anchor)
+    fibers: dict[str, list[tuple[Word, ...]]] = {}
+    for c in classes:
+        fibers.setdefault(anchor[c], []).append(c)
+    return GermSpace(
+        sign, classes, anchor, {state: tuple(cs) for state, cs in fibers.items()}
+    )
 
 
 # -- the set-valued diagram over the order complex --------------------------
@@ -179,12 +186,6 @@ class BranchDiagram:
             total = self.working_flow.compose(total, piece)
         return total
 
-    def single_faces(self, simplex: Simplex) -> list[Simplex]:
-        """Codimension-one faces (present whenever the simplex has dim > 0)."""
-        if len(simplex) == 1:
-            return []
-        return OrderComplex.faces(simplex)
-
 
 def diagram_colimit(diagram: BranchDiagram) -> SetColimit:
     """Colimit of the set diagram: disjoint union of the vertex sets modulo
@@ -193,25 +194,44 @@ def diagram_colimit(diagram: BranchDiagram) -> SetColimit:
 
 
 def _face_colimit(diagram: BranchDiagram, simplices: Sequence[Simplex]) -> SetColimit:
-    """Colimit of the diagram restricted to simplices closed under faces."""
+    """Colimit of the diagram restricted to simplices closed under faces,
+    glued along every codimension-one face."""
     vertex_sets = {s: diagram.vertex_set(s) for s in simplices}
+    compose = diagram.working_flow.compose
     edges = []
     for s in simplices:
-        for f in diagram.single_faces(s):
-            edges.append((s, f, lambda e, s=s, f=f: diagram.face(s, f, e)))
+        last = len(s) - 1
+        if last:
+            for i, f in enumerate(OrderComplex.faces(s)):
+                edges.append((s, f, _face_transport(compose, i, last)))
     return SetColimit(vertex_sets, edges)
 
 
-def colimit_matches_germ_fiber(diagram: BranchDiagram) -> bool:
+def _face_transport(compose, i: int, last: int):
+    """Transport along the face dropping vertex i of a simplex whose last
+    index is ``last``: an inner face composes factors i and i + 1, the last
+    face drops the final factor."""
+    if i == last:
+        return lambda e: e[:last]
+    return lambda e: e[:i] + (compose(e[i], e[i + 1]),) + e[i + 2 :]
+
+
+def colimit_matches_germ_fiber(
+    diagram: BranchDiagram, colim: SetColimit, germs: GermSpace
+) -> bool:
     """The central oracle: the diagram colimit must be in natural bijection
     with the germ-space fiber at the base state.
+
+    The caller passes ``colim``, the diagram's :func:`diagram_colimit`, and
+    ``germs``, the minus germ space of the diagram's working flow:
+    ``germ_space(flow, MINUS)`` for a minus diagram of ``flow`` and
+    ``germ_space(flow.opposite(), MINUS)`` for a plus one.  One germ space
+    serves every state of a flow, so callers compute it once per flow.
 
     The natural map sends a colimit class of (g0, ..., gp) to the germ of
     g0 * g1 * ... * gp; we check it is well defined, injective and
     surjective.
     """
-    colim = diagram_colimit(diagram)
-    germs = germ_space(diagram.working_flow, MINUS)
     fiber = germs.fiber(diagram.state)
     germ_class: dict[Word, tuple[Word, ...]] = {}
     for c in fiber:

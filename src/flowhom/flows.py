@@ -66,6 +66,7 @@ class Flow:
     def __init__(self, presentation: FlowPresentation):
         self.presentation = presentation
         self.states: tuple[str, ...] = tuple(sorted(presentation.states))
+        self._state_set = frozenset(self.states)
         self.generator_map: dict[str, tuple[str, str]] = {
             name: (src, tgt) for name, src, tgt in presentation.generators
         }
@@ -164,10 +165,9 @@ class Flow:
 
     def path_set(self, a: str, b: str) -> tuple[Word, ...]:
         """Congruence classes from a to b, as shortlex-least representatives."""
-        states = set(self.states)
-        if a not in states:
+        if a not in self._state_set:
             raise UnknownState(repr(a))
-        if b not in states:
+        if b not in self._state_set:
             raise UnknownState(repr(b))
         return self._psets.get((a, b), ())
 

@@ -27,7 +27,7 @@ Simplex = tuple[str, ...]
 class Poset:
     """An immutable finite strict partial order on string labels."""
 
-    __slots__ = ("elements", "_lt", "_above", "_below")
+    __slots__ = ("elements", "_lt", "_above", "_below", "_longest")
 
     def __init__(self, elements: Sequence[str], lt: Iterable[tuple[str, str]]):
         """Build from an already transitively closed irreflexive relation.
@@ -58,6 +58,7 @@ class Poset:
                 raise CycleError(f"{a!r} and {b!r} are mutually comparable")
         self._above = {e: tuple(sorted(s)) for e, s in above.items()}
         self._below = {e: tuple(sorted(s)) for e, s in below.items()}
+        self._longest: dict[tuple[str, str], int] | None = None
 
     @classmethod
     def from_relations(
@@ -169,19 +170,30 @@ class Poset:
         self._check(b)
         if not self.lt(a, b):
             raise NotComparable(f"{a!r} is not strictly below {b!r}")
-        # longest path in the comparability DAG restricted to [a, b]
-        interval = [x for x in self.elements if self.lt(a, x) and self.lt(x, b)]
-        order = self._toposort(interval)
-        best = {a: 0}
-        for x in order:
-            best[x] = 1 + max(best[y] for y in (a, *interval) if self.lt(y, x) and y in best)
-        return 1 + max(
-            (best[y] for y in (a, *interval) if y in best and self.lt(y, b)), default=0
-        )
+        return self.longest_chains()[(a, b)]
 
-    def _toposort(self, subset: Sequence[str]) -> list[str]:
-        sub = set(subset)
-        return sorted(sub, key=lambda x: sum(1 for y in sub if self.lt(y, x)))
+    def longest_chains(self) -> dict[tuple[str, str], int]:
+        """The :meth:`max_chain_length` of every strictly comparable pair.
+
+        Built on first use and kept for the life of the poset, so callers
+        must not mutate it.  A longest chain from a to x ends with a step
+        from some m in [a, x[, so one pass over a topological order fills
+        the table.
+        """
+        if self._longest is None:
+            table: dict[tuple[str, str], int] = {}
+            for x in self._topological_order():
+                below = self._below[x]
+                for a in below:
+                    table[(a, x)] = 1 + max(
+                        (table[(a, m)] for m in below if (a, m) in self._lt), default=0
+                    )
+            self._longest = table
+        return self._longest
+
+    def _topological_order(self) -> list[str]:
+        # y < x makes the strict lower set of y a proper subset of x's
+        return sorted(self.elements, key=lambda x: len(self._below[x]))
 
     def strict_upper_set(self, a: str) -> "Poset":
         self._check(a)
@@ -204,7 +216,7 @@ class Poset:
     def height(self) -> int:
         """Number of elements in a longest chain (0 for the empty poset)."""
         best = {e: 1 for e in self.elements}
-        for x in self._toposort(self.elements):
+        for x in self._topological_order():
             below = [best[y] for y in self._below[x]]
             best[x] = 1 + max(below, default=0)
         return max(best.values(), default=0)

@@ -41,15 +41,11 @@ class ReedyStructure:
         self.poset = poset
         self.base = base
         self.index: OrderComplex = poset.strict_upper_set(base).order_complex()
-        self._degree: dict[Simplex, int] = {
-            s: self._compute_degree(s) for s in self.index.simplices
-        }
-
-    def _compute_degree(self, simplex: Simplex) -> int:
-        chain = (self.base, *simplex)
-        return sum(
-            self.poset.max_chain_length(a, b) ** 2 for a, b in zip(chain, chain[1:])
-        )
+        longest = poset.longest_chains()
+        self._degree: dict[Simplex, int] = {}
+        for s in self.index.simplices:
+            chain = (base, *s)
+            self._degree[s] = sum(longest[pair] ** 2 for pair in zip(chain, chain[1:]))
 
     def degree(self, simplex: Simplex) -> int:
         if simplex not in self._degree:
@@ -138,10 +134,10 @@ def audit_reedy(structure: ReedyStructure) -> list[str]:
         if kind == "minus" and not after < before:
             problems.append(f"minus face {i} of {s} fails to lower degree")
     chain_poset = structure.poset
+    longest = chain_poset.longest_chains()
     for a, b in chain_poset.relation():
         for c in chain_poset.above(b):
-            lhs = chain_poset.max_chain_length(a, b) + chain_poset.max_chain_length(b, c)
-            if lhs > chain_poset.max_chain_length(a, c):
+            if longest[(a, b)] + longest[(b, c)] > longest[(a, c)]:
                 problems.append(f"chain lengths not superadditive on {a}<{b}<{c}")
     for arrow in structure.arrows():
         minus, plus = structure.factorize(arrow)
@@ -151,12 +147,15 @@ def audit_reedy(structure: ReedyStructure) -> list[str]:
             problems.append(f"plus part of {arrow} does not keep the last vertex")
         if minus[0] != arrow[0] or plus[1] != arrow[1] or minus[1] != plus[0]:
             problems.append(f"factorization of {arrow} does not recompose")
+        # a candidate middle object must be a prefix of the source, so the
+        # nonempty prefixes, shortest first, are every index simplex that
+        # can qualify, in index order
+        src, dst = arrow
+        needed = set(dst)
         candidates = [
             mid
-            for mid in structure.index.simplices
-            if mid == arrow[0][: len(mid)]
-            and set(arrow[1]) <= set(mid)
-            and mid[-1] == arrow[1][-1]
+            for mid in (src[:k] for k in range(1, len(src) + 1))
+            if mid in structure.index and needed <= set(mid) and mid[-1] == dst[-1]
         ]
         if candidates != [minus[1]]:
             problems.append(f"factorization of {arrow} is not unique")

@@ -23,8 +23,10 @@ ignored::
       path a b = g1.g2
     end
 
-Words are dot-separated generator names.  :func:`emit` writes a normalized
-form (blocks and lines sorted), and parse-emit round-trips are stable.
+Words are dot-separated generator names, so no poset element, state or
+generator name may contain ``.`` or ``:`` (the colon ends a ``gen`` or
+``tmap`` header name).  :func:`emit` writes a normalized form (blocks and
+lines sorted), and parse-emit round-trips are stable.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ class Document:
 
 def _tokens(line: str) -> list[str]:
     return line.split()
+
+
+def _check_names(what: str, names: list[str], lineno: int) -> None:
+    """Reject a defined name holding a word or header separator."""
+    for name in names:
+        if "." in name or ":" in name:
+            raise ParseError(lineno, f"{what} name {name!r} may not contain '.' or ':'")
 
 
 def parse(text: str) -> Document:
@@ -134,6 +143,7 @@ def _open_block(doc: Document, head: str, words: list[str], lineno: int):
 def _block_line(block: str, name: str, acc: dict, head: str, words: list[str], lineno: int):
     if block == "poset":
         if head == "elem":
+            _check_names("element", words[1:], lineno)
             acc["elems"].extend(words[1:])
             return
         if head == "rel":
@@ -146,12 +156,14 @@ def _block_line(block: str, name: str, acc: dict, head: str, words: list[str], l
             return
     elif block == "flow":
         if head == "state":
+            _check_names("state", words[1:], lineno)
             acc["states"].extend(words[1:])
             return
         if head == "gen":
             # gen g: a -> b
             if len(words) != 5 or not words[1].endswith(":") or words[3] != "->":
                 raise ParseError(lineno, "usage: gen NAME: a -> b")
+            _check_names("generator", [words[1][:-1]], lineno)
             acc["gens"].append((words[1][:-1], words[2], words[4]))
             return
         if head == "eq":

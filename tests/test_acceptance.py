@@ -14,6 +14,8 @@ from flowhom.branching import (
     BranchDiagram,
     HomologyTable,
     colimit_matches_germ_fiber,
+    diagram_colimit,
+    germ_space,
 )
 from flowhom.flows import flow_of_poset
 from flowhom.homology import HomologyGroup, homology, nerve
@@ -95,9 +97,11 @@ def test_criterion_colimit_equals_germs():
     while flows < 1000:
         flow = random_loopless_flow(random.Random(rng.randrange(2**30)), max_states=12)
         flows += 1
+        germs = germ_space(flow, MINUS)
         for state in flow.states:
             states += 1
-            assert colimit_matches_germ_fiber(BranchDiagram(flow, state, MINUS))
+            diagram = BranchDiagram(flow, state, MINUS)
+            assert colimit_matches_germ_fiber(diagram, diagram_colimit(diagram), germs)
     report("colimit-vs-germ oracle", started, 60.0,
            f"{flows} flows, {states} states in exact bijection")
 

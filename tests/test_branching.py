@@ -161,10 +161,16 @@ class TestDiagramColimit:
             random_loopless_flow(rng, max_states=8) for _ in range(25)
         ]
         for flow in flows:
+            # each sign's diagrams read the minus germs of their working flow
+            germs = {
+                MINUS: germ_space(flow, MINUS),
+                PLUS: germ_space(flow.opposite(), MINUS),
+            }
             for state in flow.states:
                 for sign in (MINUS, PLUS):
+                    diagram = BranchDiagram(flow, state, sign)
                     assert colimit_matches_germ_fiber(
-                        BranchDiagram(flow, state, sign)
+                        diagram, diagram_colimit(diagram), germs[sign]
                     )
 
 

@@ -3,9 +3,12 @@
 import json
 import pathlib
 
+import pytest
+
 from flowhom.cli import main
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "demos" / "documents" / "two_routes.fhm"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 # the seeded instance streams are part of the contract: a change that draws
@@ -57,10 +60,16 @@ class TestHomologyCommand:
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.fhm"
-        bad.write_text("poset P\n  rel a < a\nend\n")
-        code, _, err = run(capsys, "homology", str(bad), "--flow", "FP", "--minus")
-        assert code == 2
-        assert "line 2" in err
+        for text, where in (
+            ("poset P\n  rel a < a\nend\n", "line 2"),
+            # a generator x.y could never be told apart from the word x.y
+            ("flow FP\n  state a b\n  gen x.y: a -> b\nend\n", "line 3: generator name 'x.y'"),
+        ):
+            bad.write_text(text)
+            code, out, err = run(capsys, "homology", str(bad), "--flow", "FP", "--minus")
+            assert code == 2
+            assert out == ""
+            assert where in err
 
     def test_duplicate_map_line_exit_two(self, tmp_path, capsys):
         doc = tmp_path / "dup.fhm"
@@ -198,3 +207,26 @@ class TestJsonLinesInvariance:
         records = [json.loads(line) for line in out.splitlines()]
         checks = [r for r in records if r.get("kind") == "check"]
         assert len(checks) == 4 and all(r["ok"] for r in checks)
+
+
+class TestGoldenReports:
+    """The branch-space and reedy-audit reports, plain and ``--json-lines``,
+    compared literally with transcripts captured before the colimit, germ
+    space and chain-length work was shared across states."""
+
+    @pytest.mark.parametrize(
+        "document, flow",
+        [(SAMPLE, "FP"), (GOLDEN / "relations.fhm", "D")],
+        ids=["two_routes", "relations"],
+    )
+    def test_transcript(self, capsys, document, flow):
+        parts = []
+        for command in (["branch-space", "--minus"], ["branch-space", "--plus"],
+                        ["reedy-audit"]):
+            for extra in ([], ["--json-lines"]):
+                tail = ["--flow", flow, *command[1:], *extra]
+                code, out, _ = run(capsys, command[0], str(document), *tail)
+                parts.append(f"$ flowhom {' '.join([command[0], document.name, *tail])}\n"
+                             f"{out}exit {code}\n")
+        golden = GOLDEN / f"{document.stem}.{flow}.txt"
+        assert "".join(parts) == golden.read_text(encoding="utf-8")

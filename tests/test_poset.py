@@ -11,6 +11,7 @@ import pytest
 
 from flowhom.errors import CycleError, NotComparable, UnknownLabel
 from flowhom.poset import OrderComplex, Poset
+from flowhom.randgen import random_bounded_poset
 
 
 def two_routes_poset() -> Poset:
@@ -38,6 +39,17 @@ def oracle_max_chain(p: Poset, a: str, b: str) -> int:
                 chain = (a, *order, b)
                 if all(p.lt(x, y) for x, y in zip(chain, chain[1:])):
                     best = max(best, len(chain) - 1)
+    return best
+
+
+def chains_max_chain(p: Poset) -> dict[tuple[str, str], int]:
+    """Brute force over every chain: the most steps of a chain from a to b,
+    for each pair that some chain joins."""
+    best: dict[tuple[str, str], int] = {}
+    for chain in p.chains():
+        if len(chain) > 1:
+            pair = (chain[0], chain[-1])
+            best[pair] = max(best.get(pair, 0), len(chain) - 1)
     return best
 
 
@@ -120,6 +132,39 @@ class TestMaxChainLength:
             p = random_poset(rng)
             for a, b in p.relation():
                 assert p.max_chain_length(a, b) == oracle_max_chain(p, a, b)
+
+    def test_table_against_all_chains(self):
+        # the table is built once per poset; check it on bounded posets and
+        # on their strict upper sets, which are posets of their own
+        rng = random.Random(44)
+        checked = 0
+        for _ in range(60):
+            p = random_bounded_poset(rng, levels=5)
+            for q in (p, *(p.strict_upper_set(a) for a in p.elements)):
+                brute = chains_max_chain(q)
+                assert set(brute) == set(q.relation())
+                for a, b in q.relation():
+                    assert q.max_chain_length(a, b) == brute[(a, b)]
+                assert q.longest_chains() == brute
+                checked += 1
+        assert checked >= 300
+
+    def test_table_keeps_errors(self):
+        p = random_bounded_poset(random.Random(45), levels=5)
+        bottom, top = p.bounds()
+        p.max_chain_length(bottom, top)  # the table exists from here on
+        incomparable = [
+            (a, b) for a in p.elements for b in p.elements
+            if a != b and not p.lt(a, b) and not p.lt(b, a)
+        ]
+        assert incomparable
+        for a, b in incomparable[:5] + [(top, bottom), (bottom, bottom)]:
+            with pytest.raises(NotComparable):
+                p.max_chain_length(a, b)
+        with pytest.raises(UnknownLabel):
+            p.max_chain_length(bottom, "missing")
+        with pytest.raises(UnknownLabel):
+            p.max_chain_length("missing", top)
 
     def test_bounds_and_superadditivity(self):
         rng = random.Random(43)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from flowhom.branching import MINUS, BranchDiagram, colimit_matches_germ_fiber
+from flowhom.branching import (
+    MINUS,
+    BranchDiagram,
+    colimit_matches_germ_fiber,
+    diagram_colimit,
+    germ_space,
+)
 from flowhom.flows import Flow, FlowPresentation
 from flowhom.homology import invariant_factors
 from flowhom.poset import Poset
@@ -89,8 +95,10 @@ def test_invariant_factors_match_sympy(rows):
 @given(small_flows())
 @settings(max_examples=40, deadline=None)
 def test_colimit_computes_germs(flow):
+    germs = germ_space(flow, MINUS)
     for state in flow.states:
-        assert colimit_matches_germ_fiber(BranchDiagram(flow, state, MINUS))
+        diagram = BranchDiagram(flow, state, MINUS)
+        assert colimit_matches_germ_fiber(diagram, diagram_colimit(diagram), germs)
 
 
 @given(small_flows())

@@ -44,6 +44,43 @@ def routes_structure():
     return reedy_structure(two_routes_poset(), "bot")
 
 
+def exhaustive_audit(r):
+    """The audit with every chain length asked of the poset afresh and the
+    uniqueness of each factorization tested against every index simplex,
+    not only the prefixes of the arrow's source."""
+    problems = []
+    for s, i, kind in r.generators():
+        face = s[:i] + s[i + 1 :]
+        before, after = r.degree(s), r.degree(face)
+        if kind == "plus" and not after > before:
+            problems.append(f"plus face {i} of {s} fails to raise degree")
+        if kind == "minus" and not after < before:
+            problems.append(f"minus face {i} of {s} fails to lower degree")
+    p = r.poset
+    for a, b in p.relation():
+        for c in p.above(b):
+            if p.max_chain_length(a, b) + p.max_chain_length(b, c) > p.max_chain_length(a, c):
+                problems.append(f"chain lengths not superadditive on {a}<{b}<{c}")
+    for arrow in r.arrows():
+        minus, plus = r.factorize(arrow)
+        if not r.is_minus(minus):
+            problems.append(f"minus part of {arrow} is not a prefix drop")
+        if not r.is_plus(plus):
+            problems.append(f"plus part of {arrow} does not keep the last vertex")
+        if minus[0] != arrow[0] or plus[1] != arrow[1] or minus[1] != plus[0]:
+            problems.append(f"factorization of {arrow} does not recompose")
+        candidates = [
+            mid
+            for mid in r.index.simplices
+            if mid == arrow[0][: len(mid)]
+            and set(arrow[1]) <= set(mid)
+            and mid[-1] == arrow[1][-1]
+        ]
+        if candidates != [minus[1]]:
+            problems.append(f"factorization of {arrow} is not unique")
+    return problems
+
+
 def routes_diagram():
     return BranchDiagram(flow_of_poset(two_routes_poset()), "bot", MINUS)
 
@@ -134,6 +171,36 @@ class TestDegrees:
             p = random_bounded_poset(rng, levels=5)
             for state in p.elements:
                 assert audit_reedy(reedy_structure(p, state)) == []
+
+    def test_audit_matches_exhaustive_scan(self):
+        rng = random.Random(53)
+        bases = 0
+        for _ in range(25):
+            p = random_bounded_poset(rng, levels=5)
+            for state in p.elements:
+                r = reedy_structure(p, state)
+                assert audit_reedy(r) == exhaustive_audit(r)
+                bases += 1
+        assert bases >= 100
+
+    def test_audit_matches_exhaustive_scan_on_corrupt_degrees(self):
+        rng = random.Random(54)
+        corrupted = 0
+        for _ in range(20):
+            p = random_bounded_poset(rng, levels=5)
+            bottom, _ = p.bounds()
+            r = reedy_structure(p, bottom)
+            if len(r.index.simplices[-1]) < 2:
+                continue  # bottom < top only: no face to break
+            corrupted += 1
+            # degree 0 on the longest simplex: its drop-last face, of
+            # positive degree, no longer lowers it; the index and the poset
+            # stay intact
+            r._degree[r.index.simplices[-1]] = 0
+            problems = audit_reedy(r)
+            assert problems
+            assert problems == exhaustive_audit(r)
+        assert corrupted >= 10
 
     def test_unknown_simplex(self):
         with pytest.raises(UnknownSimplex):

@@ -71,6 +71,22 @@ class TestParse:
                 parse("".join(lines[:at] + [extra] + lines[at:]))
             assert err.value.line == at + 1
 
+    def test_separator_in_name(self):
+        # words join generator names with '.', and ':' ends a gen header
+        # name, so a defined name holding either would print ambiguously
+        for text, line in (
+            ("flow F\n  state a b\n  gen x.y: a -> b\nend\n", 3),
+            ("flow F\n  state a b\n  gen x:: a -> b\nend\n", 3),
+            ("flow F\n  state a: b\nend\n", 2),
+            ("flow F\n  state a\n  state b.c\nend\n", 3),
+            ("poset P\n  elem a b:c\nend\n", 2),
+            ("poset P\n  elem a\n  elem .\nend\n", 3),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.line == line
+            assert "may not contain" in err.value.message
+
     def test_unresolved_reference(self):
         with pytest.raises(UnresolvedReference):
             parse("flow F\n  state a\nend\nball B in G\nend\n")
