@@ -230,7 +230,8 @@ def colimit_matches_germ_fiber(
 
     The natural map sends a colimit class of (g0, ..., gp) to the germ of
     g0 * g1 * ... * gp; we check it is well defined, injective and
-    surjective.
+    surjective on the elements of ``colim.vertex_sets``, the diagram's
+    vertex sets as :func:`diagram_colimit` enumerated them.
     """
     fiber = germs.fiber(diagram.state)
     germ_class: dict[Word, tuple[Word, ...]] = {}
@@ -238,8 +239,8 @@ def colimit_matches_germ_fiber(
         for path in c:
             germ_class[path] = c
     image: dict = {}
-    for s in diagram.simplices:
-        for element in diagram.vertex_set(s):
+    for s, elements in colim.vertex_sets.items():
+        for element in elements:
             target = germ_class.get(diagram.compose_all(element))
             if target is None:
                 return False

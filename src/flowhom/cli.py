@@ -10,6 +10,7 @@ JSON record per line with homology groups in ``b;t1,t2`` form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -72,6 +73,15 @@ def _flow(doc: Document, name: str) -> Flow:
 
 def _sign(args) -> str:
     return MINUS if args.minus else PLUS
+
+
+def _states(flow: Flow, args) -> list[str]:
+    """The state named by ``--state``, or every state of the flow."""
+    if not args.state:
+        return list(flow.states)
+    if args.state not in flow.states:
+        raise FlowHomError(f"state {args.state!r} is not in flow {args.flow!r}")
+    return [args.state]
 
 
 def _resolve_refinement(doc: Document, args):
@@ -145,9 +155,7 @@ def cmd_branch_space(args, rep: Reporter) -> int:
     flow = _flow(doc, args.flow)
     sign = _sign(args)
     mark = "-" if sign == MINUS else "+"
-    states = [args.state] if args.state else list(flow.states)
-    if args.state and args.state not in set(flow.states):
-        raise FlowHomError(f"state {args.state!r} is not in flow {args.flow!r}")
+    states = _states(flow, args)
     germs = germ_space(flow, sign)
     # the oracle reads every diagram in the minus direction of its working flow
     working_germs = germs if sign == MINUS else germ_space(flow.opposite(), MINUS)
@@ -210,9 +218,7 @@ def cmd_reedy_audit(args, rep: Reporter) -> int:
     doc = _load(args.document)
     flow = _flow(doc, args.flow)
     order = flow.state_order
-    states = [args.state] if args.state else list(flow.states)
-    if args.state and args.state not in set(flow.states):
-        raise FlowHomError(f"state {args.state!r} is not in flow {args.flow!r}")
+    states = _states(flow, args)
     rep.line(f"command: reedy-audit --flow {args.flow}",
              kind="command", command="reedy-audit", flow=args.flow)
     failures = 0
@@ -334,7 +340,10 @@ def cmd_selftest(args, rep: Reporter) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of :func:`main`; each subcommand's ``run`` default dispatches it."""
     parser = argparse.ArgumentParser(
         prog="flowhom",
         description="Branching/merging homology of finite loopless flows.",
@@ -360,34 +369,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow", required=True)
     sign_flags(p)
     p.add_argument("--per-state", action="store_true")
+    p.set_defaults(run=cmd_homology)
 
     p = sub.add_parser("branch-space", help="germ classes and colimit cross-check")
     common(p)
     p.add_argument("--flow", required=True)
     p.add_argument("--state", default=None)
     sign_flags(p)
+    p.set_defaults(run=cmd_branch_space)
 
     p = sub.add_parser("refine", help="replace an embedded ball by a finer one")
     common(p)
     p.add_argument("--flow", required=True)
     p.add_argument("--ball", required=True)
     p.add_argument("--tmap", required=True)
+    p.set_defaults(run=functools.partial(cmd_refine, check_only=False))
 
     p = sub.add_parser("check-invariance", help="refine and verify homology invariance")
     common(p)
     p.add_argument("--flow", required=True)
     p.add_argument("--ball", required=True)
     p.add_argument("--tmap", required=True)
+    p.set_defaults(run=functools.partial(cmd_refine, check_only=True))
 
     p = sub.add_parser("reedy-audit", help="degree tables and factorization checks")
     common(p)
     p.add_argument("--flow", required=True)
     p.add_argument("--state", default=None)
+    p.set_defaults(run=cmd_reedy_audit)
 
     p = sub.add_parser("selftest", help="randomized property suites")
     common(p, document=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
+    p.set_defaults(run=cmd_selftest)
 
     return parser
 
@@ -401,20 +416,7 @@ def main(argv=None) -> int:
         out = close
     rep = Reporter(args.json_lines, out)
     try:
-        if args.command == "homology":
-            code = cmd_homology(args, rep)
-        elif args.command == "branch-space":
-            code = cmd_branch_space(args, rep)
-        elif args.command == "refine":
-            code = cmd_refine(args, rep, check_only=False)
-        elif args.command == "check-invariance":
-            code = cmd_refine(args, rep, check_only=True)
-        elif args.command == "reedy-audit":
-            code = cmd_reedy_audit(args, rep)
-        elif args.command == "selftest":
-            code = cmd_selftest(args, rep)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+        code = args.run(args, rep)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = 2

@@ -4,9 +4,10 @@ loop-free categories.
 All arithmetic is exact (Python integers), since Smith normal form pivots
 can outgrow fixed-width types even on small complexes.  Boundary matrices
 are stored column-sparse: nerves of modest categories already have
-thousands of cells with a handful of nonzero entries each.  Homology groups
-are reported as a Betti number plus torsion coefficients in divisibility
-order; unit factors are dropped.
+thousands of cells with a handful of nonzero entries each, and their Smith
+normal form comes from a single sparse elimination that splits off one
+diagonal entry per pivot.  Homology groups are reported as a Betti number
+plus torsion coefficients in divisibility order; unit factors are dropped.
 
 >>> hollow_triangle = ChainComplex(
 ...     [3, 3],
@@ -21,6 +22,7 @@ Z
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import CyclicCategory, DegreeOutOfRange
@@ -56,40 +58,24 @@ def invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
 def invariant_factors_sparse(cols: Sequence[Column]) -> list[int]:
     """Invariant factors of a column-sparse integer matrix.
 
-    Unit pivots (the overwhelming majority in boundary matrices) are peeled
-    off by fill-aware sparse eliminations; the leftover dense core goes
-    through a classical reduction.
+    One sparse elimination.  Each round takes a pivot, clears its column
+    with row operations and then its row with column operations, which
+    leaves only the remainders of division by the pivot.  A pivot whose row
+    and column end up clear is split off as a diagonal entry; otherwise a
+    remainder, smaller than the pivot, is the next round's pivot.  Unit
+    pivots (the overwhelming majority in boundary matrices) leave no
+    remainder; among a bounded window of them, the one with the smallest
+    fill estimate wins.  Without a unit, an entry of least magnitude is the
+    pivot.  The split-off entries form a diagonal matrix with the same
+    invariant factors, which :func:`divisibility_chain` puts in order.
+
+    >>> invariant_factors_sparse([{0: 2, 1: 2}, {0: 2, 1: -4}])
+    [2, 6]
     """
     value: dict[tuple[int, int], int] = {}
     row_nz: dict[int, set[int]] = {}
     col_nz: dict[int, set[int]] = {}
     units_present: dict[tuple[int, int], None] = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            if v:
-                value[(i, j)] = int(v)
-                row_nz.setdefault(i, set()).add(j)
-                col_nz.setdefault(j, set()).add(i)
-                if v in (1, -1):
-                    units_present[(i, j)] = None
-    units = _eliminate_unit_pivots(value, row_nz, col_nz, units_present)
-    residual = _dense_invariant_factors(
-        [[value.get((i, j), 0) for j in sorted(col_nz)] for i in sorted(row_nz)]
-    )
-    return [1] * units + residual
-
-
-_PIVOT_WINDOW = 48  # candidates examined per pivot; trades fill for speed
-
-
-def _eliminate_unit_pivots(value, row_nz, col_nz, units_present) -> int:
-    """Clear out +-1 pivots by unimodular row/column operations.
-
-    Each elimination splits off a unit diagonal entry, so the invariant
-    factors of the original matrix are that many 1s followed by those of
-    the residual.  Among a bounded window of unit entries, the one with
-    the smallest fill estimate wins.
-    """
 
     def drop(i, j):
         del value[(i, j)]
@@ -113,106 +99,67 @@ def _eliminate_unit_pivots(value, row_nz, col_nz, units_present) -> int:
         elif (i, j) in value:
             drop(i, j)
 
-    units = 0
-    while units_present:
+    def unit_pivot():
         pivot = None
         best = None
-        stale = []
+        seen = 0
         for key in units_present:
             i, j = key
             cost = (len(row_nz[i]) - 1) * (len(col_nz[j]) - 1)
             if best is None or cost < best:
                 best, pivot = cost, key
-            if cost == 0 or len(stale) + 1 >= _PIVOT_WINDOW:
+            seen += 1
+            if cost == 0 or seen >= _PIVOT_WINDOW:
                 break
-            stale.append(key)
-        pi, pj = pivot
+        return pivot
+
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            if v:
+                put(i, j, int(v))
+    units = 0
+    split: list[int] = []
+    while value:
+        if units_present:
+            pi, pj = unit_pivot()
+        else:
+            pi, pj = min(value, key=lambda key: abs(value[key]))
         pv = value[(pi, pj)]
         for i in list(col_nz[pj]):
-            if i == pi:
-                continue
-            factor = value[(i, pj)] * pv  # v/pv since pv is a unit
-            for j in list(row_nz[pi]):
-                put(i, j, value.get((i, j), 0) - factor * value[(pi, j)])
-        # the pivot column is now clean, so clearing the row causes no fill
+            if i != pi:
+                q = value[(i, pj)] // pv
+                for j in list(row_nz[pi]):
+                    put(i, j, value.get((i, j), 0) - q * value[(pi, j)])
         for j in list(row_nz[pi]):
-            drop(pi, j)
-        if pj in col_nz:
-            for i in list(col_nz[pj]):
-                drop(i, pj)
-        units += 1
-    return units
+            if j != pj:
+                q = value[(pi, j)] // pv
+                for i in list(col_nz[pj]):
+                    put(i, j, value.get((i, j), 0) - q * value[(i, pj)])
+        if len(row_nz[pi]) == len(col_nz[pj]) == 1:
+            drop(pi, pj)
+            if pv in (1, -1):
+                units += 1
+            else:
+                split.append(pv)
+    return [1] * units + divisibility_chain(split)
 
 
-def _dense_invariant_factors(a: list[list[int]]) -> list[int]:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    out: list[int] = []
-    t = 0
-    while t < m and t < n:
-        pivot = _smallest_nonzero(a, t, m, n)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        _clear_cross(a, t, m, n)
-        d = abs(a[t][t])
-        bad = _non_multiple(a, t, m, n, d)
-        if bad is not None:
-            # fold the offending row into row t and re-clear: gcd shrinks
-            for j in range(t, n):
-                a[t][j] += a[bad][j]
-            continue
-        out.append(d)
-        t += 1
-    return out
+_PIVOT_WINDOW = 48  # unit candidates examined per pivot; trades fill for speed
 
 
-def _smallest_nonzero(a, t: int, m: int, n: int) -> tuple[int, int] | None:
-    best = None
-    where = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = a[i][j]
-            if v and (best is None or abs(v) < best):
-                best = abs(v)
-                where = (i, j)
-    return where
+def divisibility_chain(entries: Sequence[int]) -> list[int]:
+    """Invariant factors of the diagonal matrix of nonzero ``entries``:
+    each pair becomes (gcd, lcm) until every entry divides the next.
 
-
-def _clear_cross(a, t: int, m: int, n: int) -> None:
-    """Zero out row t and column t beyond the pivot by Euclid steps."""
-    if a[t][t] < 0:
-        a[t] = [-v for v in a[t]]
-    while True:
-        i = next((i for i in range(t + 1, m) if a[i][t]), None)
-        if i is not None:
-            q = a[i][t] // a[t][t]
-            for j in range(t, n):
-                a[i][j] -= q * a[t][j]
-            if a[i][t]:
-                a[t], a[i] = a[i], a[t]
-            continue
-        j = next((j for j in range(t + 1, n) if a[t][j]), None)
-        if j is not None:
-            q = a[t][j] // a[t][t]
-            for i2 in range(t, m):
-                a[i2][j] -= q * a[i2][t]
-            if a[t][j]:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-            continue
-        return
-
-
-def _non_multiple(a, t: int, m: int, n: int, d: int) -> int | None:
-    for i in range(t + 1, m):
-        for j in range(t + 1, n):
-            if a[i][j] % d:
-                return i
-    return None
+    >>> divisibility_chain([4, 6, 10])
+    [2, 2, 60]
+    """
+    chain = [abs(e) for e in entries]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return chain
 
 
 # -- homology groups ----------------------------------------------------------
@@ -244,16 +191,15 @@ class HomologyGroup:
 
     def direct_sum(self, *others: "HomologyGroup") -> "HomologyGroup":
         """
-        The torsion is renormalized as the invariant factors of the
-        diagonal matrix of all input coefficients, with the units dropped.
+        The torsion is renormalized by :func:`divisibility_chain` over all
+        input coefficients, with the units dropped.
 
         >>> print(HomologyGroup(1, (2,)).direct_sum(HomologyGroup(0, (3,))))
         Z (+) Z/6
         """
         groups = (self, *others)
         betti = sum(g.betti for g in groups)
-        torsion = [t for g in groups for t in g.torsion]
-        factors = invariant_factors_sparse([{i: t} for i, t in enumerate(torsion)])
+        factors = divisibility_chain([t for g in groups for t in g.torsion])
         return HomologyGroup(betti, tuple(t for t in factors if t > 1))
 
     def __str__(self) -> str:

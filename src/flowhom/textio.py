@@ -68,8 +68,11 @@ def _tokens(line: str) -> list[str]:
 
 
 def _check_names(what: str, names: list[str], lineno: int) -> None:
-    """Reject a defined name holding a word or header separator."""
+    """Reject an empty defined name, or one holding a word or header
+    separator."""
     for name in names:
+        if not name:
+            raise ParseError(lineno, f"{what} name may not be empty")
         if "." in name or ":" in name:
             raise ParseError(lineno, f"{what} name {name!r} may not contain '.' or ':'")
 

@@ -54,8 +54,9 @@ class SetColimit:
     """Colimit of a finite diagram of finite sets.
 
     Elements of the disjoint union are keyed ``(node, element)``; the class
-    of any such key, and the sorted list of classes, are exposed after
-    construction.  Empty diagrams give the empty colimit.
+    of any such key, the sorted list of classes and the ``vertex_sets`` the
+    colimit was built from are exposed after construction.  Empty diagrams
+    give the empty colimit.
     """
 
     def __init__(
@@ -71,6 +72,7 @@ class SetColimit:
             for x in vertex_sets[src]:
                 uf.union((src, x), (dst, fn(x)))
         self._uf = uf
+        self.vertex_sets = vertex_sets
         self.classes: tuple = tuple(sorted(uf.classes()))
 
     def class_of(self, node, element):

@@ -64,6 +64,8 @@ class TestHomologyCommand:
             ("poset P\n  rel a < a\nend\n", "line 2"),
             # a generator x.y could never be told apart from the word x.y
             ("flow FP\n  state a b\n  gen x.y: a -> b\nend\n", "line 3: generator name 'x.y'"),
+            # an empty generator name would print its germ class as {}
+            ("flow FP\n  state a b\n  gen : a -> b\nend\n", "line 3: generator name may not be empty"),
         ):
             bad.write_text(text)
             code, out, err = run(capsys, "homology", str(bad), "--flow", "FP", "--minus")
@@ -195,6 +197,34 @@ class TestSelftest:
         suites = [r for r in records if r.get("kind") == "suite"]
         assert suites and all(r["ok"] for r in suites)
         assert records[-1]["verdict"] == "pass"
+
+
+class TestCommandsInOneProcess:
+    """``main`` shares one parser between calls, so nothing one command
+    parsed (an output file, a flag) may reach the next."""
+
+    def test_two_commands_one_with_output_file(self, tmp_path, capsys):
+        target = tmp_path / "homology.txt"
+        code, out, _ = run(capsys, "homology", str(SAMPLE), "--flow", "FP",
+                           "--minus", "--per-state", "-o", str(target))
+        assert code == 0
+        assert out == ""
+        code, out, _ = run(capsys, "branch-space", str(SAMPLE), "--flow", "FP",
+                           "--state", "bot", "--plus")
+        assert code == 0
+        assert out.startswith("command: branch-space --flow FP --plus\n")
+        assert out.count("P^+_") == 1
+        assert out.endswith("verdict: ok\n")
+        report = target.read_text()
+        assert report.startswith("command: homology --flow FP --minus\n")
+        assert "hop^-_top = EMPTY" in report
+        assert report.endswith("verdict: ok\n")
+        # the same command without -o or --per-state: the table alone, on stdout
+        code, out, _ = run(capsys, "homology", str(SAMPLE), "--flow", "FP", "--minus")
+        assert code == 0
+        table = [line for line in report.splitlines(keepends=True)
+                 if not line.startswith("hop^")]
+        assert out == "".join(table)
 
 
 class TestJsonLinesInvariance:

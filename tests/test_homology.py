@@ -109,6 +109,19 @@ class TestInvariantFactors:
         rows = [[10**20, 1], [1, 10**20]]
         assert invariant_factors(rows) == [1, 10**40 - 1]
 
+    def test_against_sympy_unit_free(self):
+        # no entry is +-1, so every pivot is a least-magnitude one whose
+        # remainders drive further rounds
+        rng = random.Random(9)
+        for k in range(80):
+            m = rng.randint(1, 14)
+            n = rng.randint(1, 14)
+            values = [0, 0, 2, -3, 4, 6, -9]
+            if k % 8 == 0:
+                values.append(rng.randint(2, 10**12))
+            rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+            assert invariant_factors(rows) == sympy_invariant_factors(rows)
+
 
 class TestHomologyGroup:
     def test_str_forms(self):
@@ -125,11 +138,26 @@ class TestHomologyGroup:
         assert twelve.direct_sum(eighteen) == HomologyGroup(0, (6, 36))
         four, six = HomologyGroup(0, (4,)), HomologyGroup(0, (6,))
         assert four.direct_sum(six) == HomologyGroup(0, (2, 12))
+        # every pair needs its own gcd/lcm step
+        ten, nine = HomologyGroup(0, (10,)), HomologyGroup(0, (9,))
+        assert four.direct_sum(six, ten) == HomologyGroup(0, (2, 2, 60))
+        assert nine.direct_sum(six, four, ten) == HomologyGroup(0, (2, 6, 180))
         # a large prime coefficient must not need factoring
         mersenne = 2**61 - 1
         assert HomologyGroup(0, (3,)).direct_sum(
             HomologyGroup(1, (mersenne,))
         ) == HomologyGroup(1, (3 * mersenne,))
+
+    def test_direct_sum_against_sympy(self):
+        rng = random.Random(10)
+        for _ in range(100):
+            torsion = [rng.choice([2, 3, 4, 6, 8, 9, 10, 12, 15, 30])
+                       for _ in range(rng.randint(1, 6))]
+            diagonal = [[t if i == j else 0 for j in range(len(torsion))]
+                        for i, t in enumerate(torsion)]
+            expected = [t for t in sympy_invariant_factors(diagonal) if t > 1]
+            total = ZERO_GROUP.direct_sum(*(HomologyGroup(0, (t,)) for t in torsion))
+            assert total == HomologyGroup(0, tuple(expected))
 
     def test_validation(self):
         with pytest.raises(ValueError):

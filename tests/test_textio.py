@@ -73,19 +73,22 @@ class TestParse:
 
     def test_separator_in_name(self):
         # words join generator names with '.', and ':' ends a gen header
-        # name, so a defined name holding either would print ambiguously
-        for text, line in (
-            ("flow F\n  state a b\n  gen x.y: a -> b\nend\n", 3),
-            ("flow F\n  state a b\n  gen x:: a -> b\nend\n", 3),
-            ("flow F\n  state a: b\nend\n", 2),
-            ("flow F\n  state a\n  state b.c\nend\n", 3),
-            ("poset P\n  elem a b:c\nend\n", 2),
-            ("poset P\n  elem a\n  elem .\nend\n", 3),
+        # name, so a defined name holding either would print ambiguously;
+        # an empty generator name would print as an empty word
+        contains, empty = "may not contain", "may not be empty"
+        for text, line, message in (
+            ("flow F\n  state a b\n  gen x.y: a -> b\nend\n", 3, contains),
+            ("flow F\n  state a b\n  gen x:: a -> b\nend\n", 3, contains),
+            ("flow F\n  state a: b\nend\n", 2, contains),
+            ("flow F\n  state a\n  state b.c\nend\n", 3, contains),
+            ("poset P\n  elem a b:c\nend\n", 2, contains),
+            ("poset P\n  elem a\n  elem .\nend\n", 3, contains),
+            ("flow F\n  state a b\n  gen : a -> b\nend\n", 3, empty),
         ):
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert err.value.line == line
-            assert "may not contain" in err.value.message
+            assert message in err.value.message
 
     def test_unresolved_reference(self):
         with pytest.raises(UnresolvedReference):
