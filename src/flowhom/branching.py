@@ -83,23 +83,24 @@ class GermSpace:
 def germ_space(flow: Flow, sign: str) -> GermSpace:
     """Finest partition identifying x with x*y (minus) or y with x*y (plus).
 
-    Computed by union-find over all path classes: each composable pair
-    contributes one identification.  Anchors are well defined because the
-    identifications never move the relevant endpoint.
+    Computed by union-find over all path classes.  Single generators g
+    suffice: every class y is a product g1*...*gk, so x ~ x*g1 ~ ... ~ x*y
+    (and dually y ~ gk*y ~ ... ~ x*y).  Anchors are well defined because
+    the identifications never move the relevant endpoint.
     """
     _check_sign(sign)
     uf = UnionFind()
+    steps: dict[str, list[Word]] = {}
+    for g, (src, tgt) in flow.generator_map.items():
+        steps.setdefault(src if sign == MINUS else tgt, []).append((g,))
     for x in flow.all_classes():
         uf.add(x)
-    by_source: dict[str, list[tuple[str, str]]] = {}
-    for a, b in flow.nonempty_pairs():
-        by_source.setdefault(a, []).append((a, b))
-    for a, b in flow.nonempty_pairs():
-        for x in flow.path_set(a, b):
-            for _, c in by_source.get(b, ()):
-                for y in flow.path_set(b, c):
-                    xy = flow.compose(x, y)
-                    uf.union(x if sign == MINUS else y, xy)
+        if sign == MINUS:
+            for g in steps.get(flow.target(x), ()):
+                uf.union(x, flow.compose(x, g))
+        else:
+            for g in steps.get(flow.source(x), ()):
+                uf.union(x, flow.compose(g, x))
     groups = uf.classes()
     classes = tuple(sorted(groups.values()))
     anchor = {

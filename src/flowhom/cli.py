@@ -53,7 +53,7 @@ class Reporter:
         self.json_lines = json_lines
         self.out = out
 
-    def line(self, text: str, **record):
+    def line(self, text: str, /, **record):
         if self.json_lines:
             print(json.dumps(record, sort_keys=True), file=self.out)
         else:

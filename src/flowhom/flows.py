@@ -3,7 +3,9 @@
 A flow is presented by states, generating arrows, and word relations; its
 path set between two states is the set of congruence classes of composable
 generator words.  Looplessness (an acyclic generator graph) bounds word
-length, so the whole path space is finite and can be tabulated exactly.
+length, so the whole path space is finite and is tabulated exactly by one
+congruence-closure pass over the states, targets first (Downey–Sethi–Tarjan
+1980; Nelson–Oppen 1980).
 
 Words are tuples of generator names; each congruence class is named by its
 shortlex-least member, so all outputs are deterministic.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 from .errors import LoopError, NonParallelRelation, UnknownState
 from .poset import Poset
@@ -77,86 +80,75 @@ class Flow:
     # -- construction ------------------------------------------------------
 
     def _elaborate(self) -> None:
-        order = self._toposort_states()
-        words = self._enumerate_words(order)
-        uf = UnionFind()
-        for w in words:
-            uf.add(w)
+        # One pass over the states, targets first.  The words from s are g·w
+        # for g: s -> t and w from t or empty.  The class of w is final, so
+        # g·w joins g·find(w).  Each merge by a relation from s pushes the
+        # pair extended by every generator leaving their common target, and
+        # the pass moves on once no pushed pair merges.
+        leaving: dict[str, list[str]] = {s: [] for s in self.states}
+        for name, (src, _) in sorted(self.generator_map.items()):
+            leaving[src].append(name)
+        order = self._toposort_states(leaving)
+        relations: dict[str, list[tuple[Word, Word]]] = {s: [] for s in self.states}
         for left, right in self.presentation.relations:
-            if left not in words or right not in words:
+            if not (self._is_word(left) and self._is_word(right)):
                 raise NonParallelRelation("relation side is not a composable word")
             if self._endpoints(left) != self._endpoints(right):
                 raise NonParallelRelation(f"{left} and {right} are not parallel")
-            uf.union(left, right)
-        # close under one-sided composition with generators until stable
-        changed = True
-        while changed:
-            changed = False
+            relations[self._endpoints(left)[0]].append((left, right))
+        uf = UnionFind()
+        words_from: dict[str, list[Word]] = {}
+        for s in reversed(order):
+            words = words_from[s] = []
+            for g in leaving[s]:
+                words.append((g,))
+                uf.add((g,))
+                for w in words_from[self.generator_map[g][1]]:
+                    gw = (g,) + w
+                    words.append(gw)
+                    uf.union(gw, (g,) + uf.find(w))
+            pending = relations[s]
+            while pending:
+                x, y = pending.pop()
+                if uf.union(x, y):
+                    ends = leaving[self._endpoints(x)[1]]
+                    pending.extend((x + (h,), y + (h,)) for h in ends)
+        rep: dict[Word, Word] = {}
+        for words in words_from.values():
             for w in words:
-                r = uf.find(w)
-                if r == w:
-                    continue
-                src, tgt = self._endpoints(w)
-                for name, (gs, gt) in self.generator_map.items():
-                    if gt == src:
-                        changed |= uf.union((name,) + w, (name,) + r)
-                    if gs == tgt:
-                        changed |= uf.union(w + (name,), r + (name,))
-        classes: dict[Word, list[Word]] = {}
-        for w in words:
-            classes.setdefault(uf.find(w), []).append(w)
-        rep_of_root = {
-            root: min(members, key=_shortlex) for root, members in classes.items()
+                root = uf.find(w)
+                rep[root] = min(rep.get(root, w), w, key=_shortlex)
+        self._word_class = {
+            w: rep[uf.find(w)] for words in words_from.values() for w in words
         }
-        self._word_class = {w: rep_of_root[uf.find(w)] for w in words}
-        psets: dict[tuple[str, str], set[Word]] = {}
-        for rep in rep_of_root.values():
-            psets.setdefault(self._endpoints(rep), set()).add(rep)
+        psets: dict[tuple[str, str], list[Word]] = {}
+        for r in rep.values():
+            psets.setdefault(self._endpoints(r), []).append(r)
         self._psets = {
             pair: tuple(sorted(reps, key=_shortlex)) for pair, reps in psets.items()
         }
 
-    def _toposort_states(self) -> list[str]:
-        succ: dict[str, set[str]] = {s: set() for s in self.states}
-        for src, tgt in self.generator_map.values():
-            succ[src].add(tgt)
-        seen: dict[str, str] = {}
-        order: list[str] = []
-
-        def visit(s: str) -> None:
-            state = seen.get(s)
-            if state == "done":
-                return
-            if state == "open":
-                raise LoopError(f"generator cycle through {s!r}")
-            seen[s] = "open"
-            for nxt in sorted(succ[s]):
-                visit(nxt)
-            seen[s] = "done"
-            order.append(s)
-
-        for s in self.states:
-            visit(s)
-        order.reverse()
+    def _toposort_states(self, leaving: dict[str, list[str]]) -> list[str]:
+        """A topological order of the states (Kahn's algorithm)."""
+        indegree = dict.fromkeys(self.states, 0)
+        for _, tgt in self.generator_map.values():
+            indegree[tgt] += 1
+        order = [s for s in self.states if indegree[s] == 0]
+        for s in order:  # grows while it is read
+            for g in leaving[s]:
+                tgt = self.generator_map[g][1]
+                indegree[tgt] -= 1
+                if indegree[tgt] == 0:
+                    order.append(tgt)
+        if len(order) < len(self.states):
+            stuck = min(s for s in self.states if indegree[s])
+            raise LoopError(f"a generator cycle reaches {stuck!r}")
         return order
 
-    def _enumerate_words(self, state_order: list[str]) -> set[Word]:
-        by_source: dict[str, list[str]] = {s: [] for s in self.states}
-        for name, (src, _) in sorted(self.generator_map.items()):
-            by_source[src].append(name)
-        words: set[Word] = set()
-        # walk states backwards so suffix words exist before they are reused
-        suffixes: dict[str, list[Word]] = {s: [()] for s in self.states}
-        for s in reversed(state_order):
-            for name in by_source[s]:
-                _, tgt = self.generator_map[name]
-                for suffix in suffixes[tgt]:
-                    suffixes[s].append((name,) + suffix)
-        for s, ws in suffixes.items():
-            for w in ws:
-                if w:
-                    words.add(w)
-        return words
+    def _is_word(self, word: Word) -> bool:
+        gens = self.generator_map
+        return bool(word) and all(g in gens for g in word) and all(
+            gens[a][1] == gens[b][0] for a, b in zip(word, word[1:]))
 
     def _endpoints(self, word: Word) -> tuple[str, str]:
         return (self.generator_map[word[0]][0], self.generator_map[word[-1]][1])
@@ -261,16 +253,19 @@ class Flow:
 def flow_of_poset(p: Poset) -> Flow:
     """The flow with exactly one path class per strictly comparable pair.
 
-    One generator per cover; relations chain together all parallel maximal
-    words, which the congruence closure collapses to singletons.
+    One generator per cover, and the :func:`parallel_relations` of the
+    relation-free flow on them.
     """
     gens = tuple((_cover_name(a, b), a, b) for a, b in p.covers())
-    flow = Flow(FlowPresentation(p.elements, gens))
-    relations: list[tuple[Word, Word]] = []
-    for pair in flow.nonempty_pairs():
-        reps = flow.path_set(*pair)
-        relations.extend(zip(reps, reps[1:]))
-    return Flow(FlowPresentation(p.elements, gens, tuple(relations)))
+    free = Flow(FlowPresentation(p.elements, gens))
+    return Flow(FlowPresentation(p.elements, gens, parallel_relations(free)))
+
+
+def parallel_relations(flow: Flow) -> tuple[tuple[Word, Word], ...]:
+    """Relations chaining together the parallel classes of each pair, so
+    that the flow presented with them has one class per nonempty pair."""
+    pairs = flow.nonempty_pairs()
+    return tuple(rel for pair in pairs for rel in pairwise(flow.path_set(*pair)))
 
 
 def _cover_name(a: str, b: str) -> str:

@@ -182,7 +182,8 @@ class Poset:
         """
         if self._longest is None:
             table: dict[tuple[str, str], int] = {}
-            for x in self._topological_order():
+            # y < x makes the strict lower set of y a proper subset of x's
+            for x in sorted(self.elements, key=lambda x: len(self._below[x])):
                 below = self._below[x]
                 for a in below:
                     table[(a, x)] = 1 + max(
@@ -190,10 +191,6 @@ class Poset:
                     )
             self._longest = table
         return self._longest
-
-    def _topological_order(self) -> list[str]:
-        # y < x makes the strict lower set of y a proper subset of x's
-        return sorted(self.elements, key=lambda x: len(self._below[x]))
 
     def strict_upper_set(self, a: str) -> "Poset":
         self._check(a)
@@ -215,11 +212,9 @@ class Poset:
 
     def height(self) -> int:
         """Number of elements in a longest chain (0 for the empty poset)."""
-        best = {e: 1 for e in self.elements}
-        for x in self._topological_order():
-            below = [best[y] for y in self._below[x]]
-            best[x] = 1 + max(below, default=0)
-        return max(best.values(), default=0)
+        if not self.elements:
+            return 0
+        return 1 + max(self.longest_chains().values(), default=0)
 
     def chains(self) -> list[Simplex]:
         """All nonempty chains, each sorted ascending in the order."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .branching import MINUS, PLUS, HomologyTable
 from .errors import EmbeddingInvalid
-from .flows import Flow, FlowPresentation, Word
+from .flows import Flow, FlowPresentation, Word, parallel_relations
 from .poset import Poset
 
 
@@ -192,9 +192,7 @@ def refine_pushout(
     states = tuple(sorted(set(host.states) | {label[q] for q in pattern.target.elements}))
     relations = list(host.presentation.relations)
     fine = Flow(FlowPresentation(states, tuple(new_gens)))
-    for pair in fine.nonempty_pairs():
-        reps = fine.path_set(*pair)
-        relations.extend(zip(reps, reps[1:]))
+    relations.extend(parallel_relations(fine))
     for a, b in pattern.source.relation():
         fine_word = fine.path_set(label[pattern.apply(a)], label[pattern.apply(b)])[0]
         relations.append((embedding.choice(a, b), fine_word))

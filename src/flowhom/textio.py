@@ -23,10 +23,11 @@ ignored::
       path a b = g1.g2
     end
 
-Words are dot-separated generator names, so no poset element, state or
-generator name may contain ``.`` or ``:`` (the colon ends a ``gen`` or
-``tmap`` header name).  :func:`emit` writes a normalized form (blocks and
-lines sorted), and parse-emit round-trips are stable.
+Words are dot-separated generator names, so no name (of a block, poset
+element, state or generator) may be empty or contain ``.`` or ``:`` (the
+colon ends a ``gen`` or ``tmap`` header name).  :func:`emit` writes a
+normalized form (blocks and lines sorted), and parse-emit round-trips are
+stable.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def parse(text: str) -> Document:
         head = words[0]
         if block is None:
             block, name, acc = _open_block(doc, head, words, lineno)
+            _check_names(block, [name], lineno)
             start_line = lineno
             continue
         if head == "end":

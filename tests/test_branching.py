@@ -31,7 +31,9 @@ from flowhom.flows import flow_of_poset, glob
 from flowhom.homology import HomologyGroup, ZERO_GROUP, homology, homology_ranks, nerve
 from flowhom.poset import Poset
 from flowhom.randgen import diagram_weight, random_loopless_flow
+from flowhom.unionfind import UnionFind
 
+from test_flows import oracle_flows
 from test_poset import two_routes_poset
 
 
@@ -45,7 +47,26 @@ def fan_flow():
     )
 
 
+def all_pairs_germs(flow, sign):
+    """The germ quotient with one identification per composable pair of
+    classes: x ~ x*y (minus) or y ~ x*y (plus)."""
+    uf = UnionFind()
+    for x in flow.all_classes():
+        uf.add(x)
+    for a, b in flow.nonempty_pairs():
+        for c in flow.states:
+            for x in flow.path_set(a, b):
+                for y in flow.path_set(b, c):
+                    uf.union(x if sign == MINUS else y, flow.compose(x, y))
+    return tuple(sorted(uf.classes().values()))
+
+
 class TestGermSpace:
+    @pytest.mark.parametrize("sign", [MINUS, PLUS])
+    def test_generator_steps_match_all_pairs(self, sign):
+        for flow in oracle_flows():
+            assert germ_space(flow, sign).classes == all_pairs_germs(flow, sign)
+
     def test_fan_two_classes(self):
         # no composable pairs at all: classes = single paths
         germs = germ_space(fan_flow(), MINUS)

@@ -66,12 +66,26 @@ class TestHomologyCommand:
             ("flow FP\n  state a b\n  gen x.y: a -> b\nend\n", "line 3: generator name 'x.y'"),
             # an empty generator name would print its germ class as {}
             ("flow FP\n  state a b\n  gen : a -> b\nend\n", "line 3: generator name may not be empty"),
+            # an empty tmap name could only be selected as --tmap ""
+            (SAMPLE.read_text().replace("tmap SUBDIV:", "tmap :"),
+             "line 37: tmap name may not be empty"),
         ):
             bad.write_text(text)
             code, out, err = run(capsys, "homology", str(bad), "--flow", "FP", "--minus")
             assert code == 2
             assert out == ""
             assert where in err
+
+    def test_deep_generator_cycle_exit_three(self, tmp_path, capsys):
+        n = 3000
+        gens = "".join(f"  gen g{i}: s{i} -> s{(i + 1) % n}\n" for i in range(n))
+        doc = tmp_path / "cycle.fhm"
+        doc.write_text("flow C\n  state " + " ".join(f"s{i}" for i in range(n))
+                       + "\n" + gens + "end\n")
+        code, out, err = run(capsys, "homology", str(doc), "--flow", "C", "--minus")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "cycle" in err
 
     def test_duplicate_map_line_exit_two(self, tmp_path, capsys):
         doc = tmp_path / "dup.fhm"
@@ -240,9 +254,11 @@ class TestJsonLinesInvariance:
 
 
 class TestGoldenReports:
-    """The branch-space and reedy-audit reports, plain and ``--json-lines``,
-    compared literally with transcripts captured before the colimit, germ
-    space and chain-length work was shared across states."""
+    """Reports compared literally with transcripts, plain and
+    ``--json-lines``: branch-space and reedy-audit, captured before the
+    colimit, germ space and chain-length work was shared across states;
+    per-state homology, and refine and check-invariance on two_routes,
+    captured before the congruence closure became one ordered pass."""
 
     @pytest.mark.parametrize(
         "document, flow",
@@ -250,9 +266,14 @@ class TestGoldenReports:
         ids=["two_routes", "relations"],
     )
     def test_transcript(self, capsys, document, flow):
+        commands = [["branch-space", "--minus"], ["branch-space", "--plus"],
+                    ["reedy-audit"], ["homology", "--minus", "--per-state"],
+                    ["homology", "--plus", "--per-state"]]
+        if document == SAMPLE:
+            ball = ["--ball", "EDGE", "--tmap", "SUBDIV"]
+            commands += [["refine", *ball], ["check-invariance", *ball]]
         parts = []
-        for command in (["branch-space", "--minus"], ["branch-space", "--plus"],
-                        ["reedy-audit"]):
+        for command in commands:
             for extra in ([], ["--json-lines"]):
                 tail = ["--flow", flow, *command[1:], *extra]
                 code, out, _ = run(capsys, command[0], str(document), *tail)

@@ -2,10 +2,13 @@
 
 Class counts for presentations with relations are frozen from the
 independent oracle below: breadth-first closure of the word set under
-two-sided subword rewriting, no union-find involved.
+two-sided subword rewriting, no union-find involved.  Whole partitions are
+compared with the word-level rescan closure that the one-pass closure
+replaced, on a few hundred seeded flows.
 """
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -13,7 +16,8 @@ import pytest
 from flowhom.errors import LoopError, NonParallelRelation, UnknownState
 from flowhom.flows import Flow, FlowPresentation, flow_of_poset, glob
 from flowhom.poset import Poset
-from flowhom.randgen import random_loopless_flow
+from flowhom.randgen import random_bounded_poset, random_loopless_flow
+from flowhom.unionfind import UnionFind
 
 from test_poset import two_routes_poset, two_chain, antichain
 
@@ -72,6 +76,86 @@ def oracle_classes(pres: FlowPresentation, a: str, b: str) -> int:
             seen.add(cur)
             queue.extend(rewrites(cur))
     return classes
+
+
+def rescan_closure(pres: FlowPresentation) -> dict:
+    """The word-level elaboration that the one-pass closure replaced: list
+    every composable word, union the relations, then rescan every word
+    against every generator until no union merges two classes.  Maps each
+    word to the shortlex-least word of its class."""
+    arrows = {name: (s, t) for name, s, t in pres.generators}
+    words, frontier = set(), [(name,) for name in arrows]
+    while frontier:
+        w = frontier.pop()
+        words.add(w)
+        tgt = arrows[w[-1]][1]
+        frontier.extend(w + (h,) for h, (s, _) in arrows.items() if s == tgt)
+    uf = UnionFind()
+    for w in words:
+        uf.add(w)
+    for left, right in pres.relations:
+        uf.union(left, right)
+    changed = True
+    while changed:
+        changed = False
+        for w in words:
+            r = uf.find(w)
+            if r == w:
+                continue
+            for h, (s, t) in arrows.items():
+                if t == arrows[w[0]][0]:
+                    changed |= uf.union((h,) + w, (h,) + r)
+                if s == arrows[w[-1]][1]:
+                    changed |= uf.union(w + (h,), r + (h,))
+    least = {
+        root: min(members, key=lambda w: (len(w), w))
+        for root, members in uf.classes().items()
+    }
+    return {w: least[uf.find(w)] for w in words}
+
+
+@lru_cache(maxsize=None)
+def oracle_flows() -> tuple:
+    """500 seeded random flows with one to three random relations on each
+    pair of states joined by two or more words, then ``flow_of_poset`` of
+    100 seeded bounded posets."""
+    rng = random.Random(61)
+    flows = []
+    for _ in range(500):
+        free = random_loopless_flow(
+            rng, max_states=12, relations=False, max_words=300, max_weight=None
+        )
+        rels = []
+        for pair in free.nonempty_pairs():
+            words = free.path_set(*pair)
+            if len(words) >= 2:
+                rels.extend(tuple(rng.sample(words, 2)) for _ in range(rng.randint(1, 3)))
+        pres = free.presentation
+        flows.append(Flow(FlowPresentation(pres.states, pres.generators, rels)))
+    for _ in range(100):
+        flows.append(flow_of_poset(random_bounded_poset(rng)))
+    return tuple(flows)
+
+
+class TestOnePassClosure:
+    def test_agrees_with_rescan_closure(self):
+        for flow in oracle_flows():
+            oracle = rescan_closure(flow.presentation)
+            for word, least in oracle.items():
+                assert flow.class_of(word) == least
+            by_pair: dict = {}
+            for least in set(oracle.values()):
+                by_pair.setdefault((flow.source(least), flow.target(least)), []).append(least)
+            for a, b in product(flow.states, repeat=2):
+                reps = sorted(by_pair.get((a, b), ()), key=lambda w: (len(w), w))
+                assert flow.path_set(a, b) == tuple(reps)
+
+    def test_deep_generator_cycle_is_loop_error(self):
+        # a cycle through 3,000 states: no recursion limit is involved
+        n = 3000
+        gens = tuple((f"g{i}", f"s{i}", f"s{(i + 1) % n}") for i in range(n))
+        with pytest.raises(LoopError):
+            Flow(FlowPresentation(tuple(f"s{i}" for i in range(n)), gens))
 
 
 class TestElaborate:

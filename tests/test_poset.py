@@ -146,6 +146,7 @@ class TestMaxChainLength:
                 for a, b in q.relation():
                     assert q.max_chain_length(a, b) == brute[(a, b)]
                 assert q.longest_chains() == brute
+                assert q.height() == max((len(c) for c in q.chains()), default=0)
                 checked += 1
         assert checked >= 300
 

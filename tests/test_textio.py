@@ -74,8 +74,11 @@ class TestParse:
     def test_separator_in_name(self):
         # words join generator names with '.', and ':' ends a gen header
         # name, so a defined name holding either would print ambiguously;
-        # an empty generator name would print as an empty word
+        # an empty generator name would print as an empty word; block names
+        # follow the same rule
         contains, empty = "may not contain", "may not be empty"
+        posets = "poset P\n  elem a\nend\nposet Q\n  elem b\nend\n"
+        flow = "flow F\n  state a\nend\n"
         for text, line, message in (
             ("flow F\n  state a b\n  gen x.y: a -> b\nend\n", 3, contains),
             ("flow F\n  state a b\n  gen x:: a -> b\nend\n", 3, contains),
@@ -84,6 +87,12 @@ class TestParse:
             ("poset P\n  elem a b:c\nend\n", 2, contains),
             ("poset P\n  elem a\n  elem .\nend\n", 3, contains),
             ("flow F\n  state a b\n  gen : a -> b\nend\n", 3, empty),
+            (posets + "tmap : P -> Q\nend\n", 7, empty),
+            (posets + "tmap T.1: P -> Q\nend\n", 7, contains),
+            (flow + "ball B.1 in F\nend\n", 4, contains),
+            (flow + "ball B: in F\nend\n", 4, contains),
+            ("flow F.1\n  state a\nend\n", 1, contains),
+            ("poset P:\n  elem a\nend\n", 1, contains),
         ):
             with pytest.raises(ParseError) as err:
                 parse(text)
