@@ -10,13 +10,15 @@ Three independent routes to the same space live here:
 * :func:`branch_space_homology` computes the homotopy-invariant version:
   the homology of the nerve of the extension category E_a (path classes
   from the base state, one arrow x -> x*y per extension y), which realizes
-  the homotopy colimit of the same diagram.
+  the homotopy colimit of the same diagram.  It takes the nerve of the
+  core of E_a (:func:`~flowhom.homology.core`), which has the same
+  homotopy type and a far smaller nerve.
 
 The first two must agree exactly (this library's central cross-check); the
-third feeds the graded homology tables.  The nerve of the Grothendieck
-construction of the diagram (:func:`grothendieck_category`) is the
-barycentric subdivision of the nerve of E_a; it has no production caller
-and is kept as the test oracle for the third route.
+third feeds the graded homology tables.  The nerve of the whole E_a, and
+the nerve of the Grothendieck construction of the diagram
+(:func:`grothendieck_category`), its barycentric subdivision, have no
+production caller and are kept as the test oracles for the third route.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .homology import (
     HomologyGroup,
     LoopFreeCategory,
     ZERO_GROUP,
+    core,
     homology,
     homology_ranks,
     nerve,
@@ -50,7 +53,7 @@ def _working_flow(flow: Flow, state: str, sign: str) -> Flow:
     """The flow to read in the minus direction at a known state: the flow
     itself for minus, its opposite for plus."""
     _check_sign(sign)
-    if state not in set(flow.states):
+    if state not in flow:
         raise UnknownState(repr(state))
     return flow if sign == MINUS else flow.opposite()
 
@@ -326,18 +329,16 @@ def extension_category(flow: Flow, state: str, sign: str) -> LoopFreeCategory:
     homology; the nerve of E_a has a single cell per diagram object.
     """
     working = _working_flow(flow, state, sign)
-    starting: dict[str, list[Word]] = {}
-    for a, b in working.nonempty_pairs():
-        starting.setdefault(a, []).extend(working.path_set(a, b))
-    objects = starting.get(state, [])
+    starting = working.classes_from
+    objects = starting(state)
     arrows = {}
     for x in objects:
-        for y in starting.get(working.target(x), ()):
-            arrows[(x, y)] = (x, working.compose(x, y))
+        for y in starting(working.target(x)):
+            arrows[(x, y)] = (x, working.class_of(x + y))
     compose = {}
     for (x, y), (_, xy) in arrows.items():
-        for z in starting.get(working.target(y), ()):
-            compose[((x, y), (xy, z))] = (x, working.compose(y, z))
+        for z in starting(working.target(y)):
+            compose[((x, y), (xy, z))] = (x, working.class_of(y + z))
     return LoopFreeCategory(objects, arrows, compose)
 
 
@@ -374,7 +375,9 @@ class SpaceHomology:
     """Homology of one branching/merging space, or the empty-space marker.
 
     Emptiness is meaningful (it is what the degree-0 table counts), so it is
-    carried explicitly rather than encoded as vanishing groups.
+    carried explicitly rather than encoded as vanishing groups.  ``groups``
+    runs from degree 0 up to the top degree of the nerve of the whole
+    extension category, zero where its core's nerve has no cells.
     """
 
     empty: bool
@@ -412,18 +415,29 @@ EMPTY_SPACE = SpaceHomology(empty=True)
 def branch_space_homology(flow: Flow, state: str, sign: str) -> SpaceHomology:
     """Homology of the homotopy branching (merging) space at a state.
 
-    Built as the nerve of the extension category, which realizes the
-    homotopy colimit of the branch diagram up to weak equivalence, so its
-    homology is the invariant one.  No path class from the state means an
-    empty space.
+    The nerve of the extension category realizes the homotopy colimit of
+    the branch diagram up to weak equivalence, so its homology is the
+    invariant one.  It is computed on the :func:`~flowhom.homology.core`
+    of the category, whose nerve has the same homotopy type and is far
+    smaller.  The groups run up to the top degree of the whole nerve, the
+    length of its longest chain of arrows: one less than the number of
+    states on a longest chain above (minus) or below (plus) the base
+    state.  No path class from the state means an empty space.
     """
     category = extension_category(flow, state, sign)
     if not category.objects:
         return EMPTY_SPACE
-    complex_ = nerve(category)
-    groups = tuple(homology_ranks(complex_))
-    reduced = (homology(complex_, 0, reduced=True),) + groups[1:]
-    return SpaceHomology(empty=False, groups=groups, reduced=reduced)
+    order = flow.state_order
+    longest = order.longest_chains()
+    if sign == MINUS:
+        top = max(longest[(state, b)] for b in order.above(state)) - 1
+    else:
+        top = max(longest[(a, state)] for a in order.below(state)) - 1
+    complex_ = nerve(core(category))
+    groups = homology_ranks(complex_)
+    groups += [ZERO_GROUP] * (top + 1 - len(groups))
+    reduced = (homology(complex_, 0, reduced=True), *groups[1:])
+    return SpaceHomology(empty=False, groups=tuple(groups), reduced=reduced)
 
 
 # -- graded homology tables --------------------------------------------------

@@ -155,6 +155,9 @@ class Flow:
 
     # -- queries -----------------------------------------------------------
 
+    def __contains__(self, state: str) -> bool:
+        return state in self._state_set
+
     def path_set(self, a: str, b: str) -> tuple[Word, ...]:
         """Congruence classes from a to b, as shortlex-least representatives."""
         if a not in self._state_set:
@@ -162,6 +165,20 @@ class Flow:
         if b not in self._state_set:
             raise UnknownState(repr(b))
         return self._psets.get((a, b), ())
+
+    def classes_from(self, a: str) -> tuple[Word, ...]:
+        """Every class starting at a: the path sets from a, in the order of
+        :meth:`nonempty_pairs`."""
+        if a not in self._state_set:
+            raise UnknownState(repr(a))
+        return self._classes_from.get(a, ())
+
+    @cached_property
+    def _classes_from(self) -> dict[str, tuple[Word, ...]]:
+        table: dict[str, list[Word]] = {}
+        for (a, _), reps in sorted(self._psets.items()):
+            table.setdefault(a, []).extend(reps)
+        return {a: tuple(reps) for a, reps in table.items()}
 
     def nonempty_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self._psets))

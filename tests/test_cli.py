@@ -1,12 +1,20 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from flowhom.branching import extension_category
 from flowhom.cli import main
+from flowhom.flows import Flow
+from flowhom.homology import core
+from flowhom.textio import parse
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "demos" / "documents" / "two_routes.fhm"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -258,12 +266,14 @@ class TestGoldenReports:
     ``--json-lines``: branch-space and reedy-audit, captured before the
     colimit, germ space and chain-length work was shared across states;
     per-state homology, and refine and check-invariance on two_routes,
-    captured before the congruence closure became one ordered pass."""
+    captured before the congruence closure became one ordered pass; the
+    circle flow, whose branching space at s has H_1 = Z, captured before
+    homology moved to the core of the extension category."""
 
     @pytest.mark.parametrize(
         "document, flow",
-        [(SAMPLE, "FP"), (GOLDEN / "relations.fhm", "D")],
-        ids=["two_routes", "relations"],
+        [(SAMPLE, "FP"), (GOLDEN / "relations.fhm", "D"), (GOLDEN / "circle.fhm", "C")],
+        ids=["two_routes", "relations", "circle"],
     )
     def test_transcript(self, capsys, document, flow):
         commands = [["branch-space", "--minus"], ["branch-space", "--plus"],
@@ -281,3 +291,77 @@ class TestGoldenReports:
                              f"{out}exit {code}\n")
         golden = GOLDEN / f"{document.stem}.{flow}.txt"
         assert "".join(parts) == golden.read_text(encoding="utf-8")
+
+
+def chain_text(n):
+    lines = ["flow C", "  state " + " ".join(f"s{i}" for i in range(n))]
+    lines += [f"  gen g{i}: s{i} -> s{i + 1}" for i in range(n - 1)]
+    return "\n".join([*lines, "end", ""])
+
+
+def ladder_text(cols):
+    """Two rows of ``cols`` states, one generator per cover, every unit
+    square commuting."""
+    gens = {}
+    for j in range(cols):
+        gens[(f"x0y{j}", f"x1y{j}")] = f"v{j}"
+        for i in range(2):
+            if j + 1 < cols:
+                gens[(f"x{i}y{j}", f"x{i}y{j + 1}")] = f"h{i}_{j}"
+    lines = ["flow C", "  state " + " ".join(f"x{i}y{j}" for i in range(2) for j in range(cols))]
+    lines += [f"  gen {g}: {a} -> {b}" for (a, b), g in gens.items()]
+    lines += [f"  eq v{j}.h1_{j} = h0_{j}.v{j + 1}" for j in range(cols - 1)]
+    return "\n".join([*lines, "end", ""])
+
+
+class TestCollapsedSpaces:
+    """Per-state homology where the whole extension category has a huge
+    nerve (2^19 - 1 cells at the bottom of a 20-state chain): every
+    nonempty space collapses to one object, and its groups still run up to
+    the top degree of the whole nerve, one degree per state of a longest
+    chain above (minus) or below (plus) the base state."""
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize(
+        "text, height",
+        [(chain_text(20), 20), (ladder_text(10), 11)],
+        ids=["chain20", "ladder2x10"],
+    )
+    def test_per_state(self, tmp_path, capsys, sign, text, height):
+        path = tmp_path / "flow.fhm"
+        path.write_text(text, encoding="utf-8")
+        flow = Flow(parse(text).flows["C"])
+        order = flow.state_order
+        code, out, _ = run(capsys, "homology", str(path), "--flow", "C",
+                           f"--{sign}", "--per-state", "--json-lines")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len([r for r in records if r["kind"] == "homology"]) == height + 1
+        per_state = {r["state"]: r for r in records if r["kind"] == "per-state"}
+        assert sorted(per_state) == sorted(flow.states)
+        for state, r in per_state.items():
+            index = (order.strict_upper_set(state) if sign == "minus"
+                     else order.strict_lower_set(state))
+            if not len(index):
+                assert r["empty"]
+                continue
+            assert r["groups"] == ["1;"] + ["0;"] * (index.height() - 1)
+            assert len(core(extension_category(flow, state, sign)).objects) == 1
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "flowhom", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_selftest(self):
+        done = self.run_module("selftest", "--count", "3")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("verdict: pass\n")
+
+    def test_missing_document_exit_code(self, tmp_path, capsys):
+        argv = ["homology", str(tmp_path / "missing.fhm"), "--flow", "F", "--minus"]
+        done = self.run_module(*argv)
+        assert done.returncode == main(argv) == 3
+        assert "missing.fhm" in done.stderr

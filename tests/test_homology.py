@@ -20,6 +20,7 @@ from flowhom.homology import (
     LoopFreeCategory,
     ZERO_GROUP,
     complex_of_order_complex,
+    core,
     homology,
     homology_ranks,
     invariant_factors,
@@ -298,3 +299,47 @@ class TestLoopFreeCategory:
                 left = via_nerve[n] if n < len(via_nerve) else ZERO_GROUP
                 right = via_chains[n] if n < len(via_chains) else ZERO_GROUP
                 assert left == right
+
+
+class TestCore:
+    def test_chain_collapses_to_its_top(self):
+        # p0 -> p1 is initial among the arrows out of p0, so p0 goes, then p1
+        p = Poset.from_relations(["p0", "p1", "p2"], [("p0", "p1"), ("p1", "p2")])
+        assert core(poset_category(p)).objects == ("p2",)
+
+    def test_crown_has_no_beat_object(self):
+        # x0, x1 < y0, y1: the minimal finite model of the circle
+        crown = Poset.from_relations(
+            ["x0", "x1", "y0", "y1"],
+            [("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")],
+        )
+        category = poset_category(crown)
+        assert core(category) is category
+        assert homology(nerve(category), 1) == HomologyGroup(1)
+
+    def test_discrete_category_is_its_own_core(self):
+        category = LoopFreeCategory(["a", "b"], {})
+        assert core(category) is category
+
+    def test_parallel_arrows_are_not_beat(self):
+        # two arrows a -> b: the nerve is a circle, and neither end is beat
+        category = LoopFreeCategory(["a", "b"], {"f": ("a", "b"), "g": ("a", "b")})
+        assert core(category) is category
+        assert homology(nerve(category), 1) == HomologyGroup(1)
+
+    def test_down_beat_object(self):
+        # a is tested first and has no arrow out; b -> a is terminal among
+        # the arrows into a, so a goes
+        category = poset_category(Poset.from_relations(["a", "b"], [("b", "a")]))
+        assert core(category).objects == ("b",)
+
+    def test_matches_nerve_on_random_posets(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            category = poset_category(random_poset(rng, max_n=7))
+            reduced = core(category)
+            assert set(reduced.objects) <= set(category.objects)
+            full = homology_ranks(nerve(category))
+            small = homology_ranks(nerve(reduced))
+            assert small == full[: len(small)]
+            assert all(g.is_zero for g in full[len(small):])
