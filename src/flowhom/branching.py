@@ -269,7 +269,7 @@ def restricted_subcategory(diagram: BranchDiagram) -> LoopFreeCategory:
         if len(s) == 2:
             arrows[("d0", s)] = (s, s[1:])
             arrows[("d1", s)] = (s, s[:1])
-    return LoopFreeCategory(objects, arrows, {})
+    return LoopFreeCategory(objects, arrows)
 
 
 def final_subdiagram_check(diagram: BranchDiagram) -> bool:
@@ -335,11 +335,9 @@ def extension_category(flow: Flow, state: str, sign: str) -> LoopFreeCategory:
     for x in objects:
         for y in starting(working.target(x)):
             arrows[(x, y)] = (x, working.class_of(x + y))
-    compose = {}
-    for (x, y), (_, xy) in arrows.items():
-        for z in starting(working.target(y)):
-            compose[((x, y), (xy, z))] = (x, working.class_of(y + z))
-    return LoopFreeCategory(objects, arrows, compose)
+    return LoopFreeCategory(
+        objects, arrows, lambda f, g: (f[0], working.class_of(f[1] + g[1]))
+    )
 
 
 def grothendieck_category(diagram: BranchDiagram) -> LoopFreeCategory:
@@ -356,18 +354,12 @@ def grothendieck_category(diagram: BranchDiagram) -> LoopFreeCategory:
         for element in diagram.vertex_set(s):
             objects.append((s, element))
     arrows = {}
-    by_source: dict = {}
     for s, element in objects:
         src = (s, element)
         for t in OrderComplex.proper_subchains(s):
             dst = (t, diagram.face(s, t, element))
             arrows[(src, dst)] = (src, dst)
-            by_source.setdefault(src, []).append((src, dst))
-    compose = {}
-    for f, (fs, ft) in arrows.items():
-        for g in by_source.get(ft, ()):
-            compose[(f, g)] = (fs, arrows[g][1])
-    return LoopFreeCategory(objects, arrows, compose)
+    return LoopFreeCategory(objects, arrows)
 
 
 @dataclass(frozen=True)

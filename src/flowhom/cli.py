@@ -79,7 +79,7 @@ def _states(flow: Flow, args) -> list[str]:
     """The state named by ``--state``, or every state of the flow."""
     if not args.state:
         return list(flow.states)
-    if args.state not in flow.states:
+    if args.state not in flow:
         raise FlowHomError(f"state {args.state!r} is not in flow {args.flow!r}")
     return [args.state]
 
@@ -409,14 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
     close = None
-    if args.output and args.command != "refine":
-        close = open(args.output, "w", encoding="utf-8")
-        out = close
-    rep = Reporter(args.json_lines, out)
     try:
-        code = args.run(args, rep)
+        if args.output and args.command != "refine":
+            close = open(args.output, "w", encoding="utf-8")
+        code = args.run(args, Reporter(args.json_lines, close or sys.stdout))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = 2

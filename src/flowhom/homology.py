@@ -366,76 +366,66 @@ def complex_of_order_complex(k: OrderComplex) -> ChainComplex:
 class LoopFreeCategory:
     """A finite category without identities whose arrows never loop back.
 
-    Arrows are named; ``compose`` must be total on composable pairs and
-    associative.  Acyclicity (no arrow or composite returning to its source)
-    guarantees that the nerve below is finite.
+    Arrows are named; ``compose(f, g)`` names the composite of f: x -> y
+    and g: y -> z.  The default rule ``(f[0], g[1])`` fits arrows named by
+    their (source, target) pair.  One pass over the composable pairs fills
+    the table ``self.compose`` and checks each composite: it must be an
+    arrow x -> z, and z must not be x.  That pass also rejects every cycle
+    of arrows: a cycle of two arrows composes to a loop, and the first two
+    arrows of a longer cycle compose to an arrow that closes a shorter one.
+    A second loop checks associativity.  Acyclicity guarantees that the
+    nerve below is finite.
+
+    >>> chain = Poset.from_relations(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    >>> poset_category(chain).compose
+    {(('a', 'b'), ('b', 'c')): ('a', 'c')}
+    >>> LoopFreeCategory(["a", "b"], {"f": ("a", "b"), "g": ("b", "a")}, lambda f, g: f)
+    Traceback (most recent call last):
+    ...
+    flowhom.errors.CyclicCategory: 'f' then 'g' loops back to 'a'
     """
 
     def __init__(
         self,
         objects: Iterable[Hashable],
         arrows: Mapping[Hashable, tuple[Hashable, Hashable]],
-        compose: Mapping[tuple[Hashable, Hashable], Hashable] | None = None,
+        compose: Callable[[Hashable, Hashable], Hashable] = lambda f, g: (f[0], g[1]),
     ):
         self.objects = tuple(sorted(objects))
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate objects")
-        self.arrows = dict(arrows)
-        self.compose = dict(compose or {})
+        self.arrows = arrows = dict(arrows)
         objs = set(self.objects)
-        for f, (s, t) in self.arrows.items():
+        for f, (s, t) in arrows.items():
             if s not in objs or t not in objs:
                 raise ValueError(f"arrow {f!r} has an unknown endpoint")
             if s == t:
                 raise CyclicCategory(f"arrow {f!r} loops at {s!r}")
         self._by_source: dict = {}
-        for f, (s, _) in sorted(self.arrows.items()):
+        for f, (s, _) in sorted(arrows.items()):
             self._by_source.setdefault(s, []).append(f)
-        self._check_acyclic()
-        self._check_composition()
+        self.compose = table = {}
+        for f, (s, t) in arrows.items():
+            for g in self._by_source.get(t, ()):
+                u = arrows[g][1]
+                if u == s:
+                    raise CyclicCategory(f"{f!r} then {g!r} loops back to {s!r}")
+                h = compose(f, g)
+                if arrows.get(h) != (s, u):
+                    raise ValueError(
+                        f"composite {h!r} of {f!r} and {g!r} is not an arrow {s!r} -> {u!r}"
+                    )
+                table[(f, g)] = h
+        for (f, g), fg in table.items():
+            for h in self._by_source.get(arrows[g][1], ()):
+                if table[(fg, h)] != table[(f, table[(g, h)])]:
+                    raise ValueError("composition is not associative")
 
     def source(self, f) -> Hashable:
         return self.arrows[f][0]
 
     def target(self, f) -> Hashable:
         return self.arrows[f][1]
-
-    def _check_acyclic(self) -> None:
-        succ: dict = {o: set() for o in self.objects}
-        for s, t in self.arrows.values():
-            succ[s].add(t)
-        state: dict = {}
-        for root in self.objects:
-            if root in state:
-                continue
-            stack = [(root, iter(sorted(succ[root])))]
-            state[root] = "open"
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    state[node] = "done"
-                    stack.pop()
-                    continue
-                if state.get(nxt) == "open":
-                    raise CyclicCategory(f"cycle through object {nxt!r}")
-                if nxt not in state:
-                    state[nxt] = "open"
-                    stack.append((nxt, iter(sorted(succ[nxt]))))
-
-    def _check_composition(self) -> None:
-        arrows = self.arrows
-        for f, (_, tf) in arrows.items():
-            for g in self._by_source.get(tf, ()):
-                h = self.compose.get((f, g))
-                if h is None:
-                    raise ValueError(f"missing composite of {f!r} and {g!r}")
-                if arrows[h] != (arrows[f][0], arrows[g][1]):
-                    raise ValueError(f"composite {h!r} has wrong endpoints")
-        for (f, g), fg in self.compose.items():
-            for h in self._by_source.get(arrows[g][1], ()):
-                if self.compose[(fg, h)] != self.compose[(f, self.compose[(g, h)])]:
-                    raise ValueError("composition is not associative")
 
 
 def nerve(category: LoopFreeCategory) -> ChainComplex:
@@ -532,17 +522,9 @@ def core(category: LoopFreeCategory) -> LoopFreeCategory:
     if len(alive) == len(category.objects):
         return category
     kept = {f: ends for f, ends in arrows.items() if ends[0] in alive and ends[1] in alive}
-    kept_compose = {
-        (f, g): compose[(f, g)] for f, (_, t) in kept.items() for g, z in outs[t] if z in alive
-    }
-    return LoopFreeCategory(alive, kept, kept_compose)
+    return LoopFreeCategory(alive, kept, lambda f, g: compose[(f, g)])
 
 
 def poset_category(p: Poset) -> LoopFreeCategory:
     """A poset as a category: one arrow per strictly comparable pair."""
-    arrows = {(a, b): (a, b) for a, b in p.relation()}
-    compose = {}
-    for a, b in p.relation():
-        for c in p.above(b):
-            compose[((a, b), (b, c))] = (a, c)
-    return LoopFreeCategory(p.elements, arrows, compose)
+    return LoopFreeCategory(p.elements, {(a, b): (a, b) for a, b in p.relation()})

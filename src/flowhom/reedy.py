@@ -107,16 +107,8 @@ def matching_category(structure: ReedyStructure, simplex: Simplex) -> LoopFreeCa
     if simplex not in structure.index:
         raise UnknownSimplex(repr(simplex))
     prefixes = [simplex[:k] for k in range(len(simplex) - 1, 0, -1)]
-    arrows = {}
-    compose = {}
-    for i, src in enumerate(prefixes):
-        for dst in prefixes[i + 1 :]:
-            arrows[(src, dst)] = (src, dst)
-    for (a, b) in arrows:
-        for (b2, c) in arrows:
-            if b2 == b:
-                compose[((a, b), (b, c))] = (a, c)
-    return LoopFreeCategory(prefixes, arrows, compose)
+    arrows = {(a, b): (a, b) for i, a in enumerate(prefixes) for b in prefixes[i + 1 :]}
+    return LoopFreeCategory(prefixes, arrows)
 
 
 def audit_reedy(structure: ReedyStructure) -> list[str]:

@@ -14,6 +14,7 @@ tables, that branching and merging homology did not change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .branching import MINUS, PLUS, HomologyTable
 from .errors import EmbeddingInvalid
@@ -32,11 +33,12 @@ class TMorphism:
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(sorted(self.mapping)))
 
+    @cached_property
+    def _image_of(self) -> dict[str, str]:
+        return dict(self.mapping)
+
     def apply(self, x: str) -> str:
-        for a, b in self.mapping:
-            if a == x:
-                return b
-        raise KeyError(x)
+        return self._image_of[x]
 
     @property
     def image(self) -> frozenset:
@@ -97,21 +99,23 @@ class BallEmbedding:
             tuple(sorted(((a, b), tuple(w)) for (a, b), w in self.path_choice)),
         )
 
+    @cached_property
+    def _state_of(self) -> dict[str, str]:
+        return dict(self.state_map)
+
+    @cached_property
+    def _choice(self) -> dict[tuple[str, str], Word]:
+        return dict(self.path_choice)
+
     def state_of(self, p: str) -> str:
-        for a, s in self.state_map:
-            if a == p:
-                return s
-        raise KeyError(p)
+        return self._state_of[p]
 
     def choice(self, a: str, b: str) -> Word:
-        for pair, w in self.path_choice:
-            if pair == (a, b):
-                return w
-        raise KeyError((a, b))
+        return self._choice[(a, b)]
 
     def diagnostics(self) -> list[str]:
         problems = []
-        sent = dict(self.state_map)
+        sent = self._state_of
         if sorted(a for a, _ in self.state_map) != sorted(self.ball.elements):
             return ["state map must send each ball state once"]
         host_states = set(self.host.states)
@@ -123,7 +127,7 @@ class BallEmbedding:
                 problems.append(f"state map does not preserve {a}<{b}")
         if problems:
             return problems
-        chosen = dict(self.path_choice)
+        chosen = self._choice
         if sorted(pair for pair, _ in self.path_choice) != sorted(self.ball.relation()):
             return ["need exactly one path choice per comparable pair"]
         for (a, b), w in chosen.items():

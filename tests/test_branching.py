@@ -306,10 +306,7 @@ def core_oracle_spaces():
 def full_subcategory(category, keep):
     keep = set(keep)
     arrows = {f: e for f, e in category.arrows.items() if e[0] in keep and e[1] in keep}
-    compose = {
-        (f, g): h for (f, g), h in category.compose.items() if f in arrows and g in arrows
-    }
-    return LoopFreeCategory(keep, arrows, compose)
+    return LoopFreeCategory(keep, arrows, lambda f, g: category.compose[(f, g)])
 
 
 def agrees_with_nerve(full, category):

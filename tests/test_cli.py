@@ -61,6 +61,14 @@ class TestHomologyCommand:
         assert "hop^-_top = EMPTY" in out
         assert "hop^-_A: H_0=Z" in out
 
+    def test_output_to_a_directory_exit_three(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "homology", str(SAMPLE), "--flow", "FP", "--minus", "-o", str(tmp_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_unknown_flow_is_precondition_error(self, capsys):
         code, _, err = run(capsys, "homology", str(SAMPLE), "--flow", "NOPE", "--minus")
         assert code == 3
@@ -209,6 +217,13 @@ class TestSelftest:
         assert code == 0
         assert out == ""
         assert "verdict: pass" in target.read_text()
+
+    def test_output_file_in_missing_directory_exit_three(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "selftest", "--count", "1", "-o", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "report.txt" in err
 
     def test_json_lines_records(self, capsys):
         code, out, _ = run(

@@ -4,22 +4,27 @@ Class counts for presentations with relations are frozen from the
 independent oracle below: breadth-first closure of the word set under
 two-sided subword rewriting, no union-find involved.  Whole partitions are
 compared with the word-level rescan closure that the one-pass closure
-replaced, on a few hundred seeded flows.
+replaced, on a few hundred seeded flows.  The cycle search and composite
+scan that ``LoopFreeCategory`` replaced by one pass are kept here too, as
+the oracle for which extension and poset categories it accepts.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from flowhom.errors import LoopError, NonParallelRelation, UnknownState
+from flowhom.branching import MINUS, PLUS, extension_category
+from flowhom.errors import CyclicCategory, LoopError, NonParallelRelation, UnknownState
 from flowhom.flows import Flow, FlowPresentation, flow_of_poset, glob
+from flowhom.homology import LoopFreeCategory, poset_category
 from flowhom.poset import Poset
 from flowhom.randgen import random_bounded_poset, random_loopless_flow
 from flowhom.unionfind import UnionFind
 
-from test_poset import two_routes_poset, two_chain, antichain
+from test_poset import two_routes_poset, two_chain, antichain, random_poset
 
 
 def two_routes_presentation(with_relation=True) -> FlowPresentation:
@@ -114,6 +119,76 @@ def rescan_closure(pres: FlowPresentation) -> dict:
     return {w: least[uf.find(w)] for w in words}
 
 
+def scan_for_cycle(objects, arrows) -> None:
+    """The cycle search that the one-pass composite table replaced: a
+    depth-first search over sorted successor lists."""
+    succ: dict = {o: set() for o in objects}
+    for s, t in arrows.values():
+        succ[s].add(t)
+    state: dict = {}
+    for root in sorted(objects):
+        if root in state:
+            continue
+        stack = [(root, iter(sorted(succ[root])))]
+        state[root] = "open"
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                state[node] = "done"
+                stack.pop()
+                continue
+            if state.get(nxt) == "open":
+                raise CyclicCategory(f"cycle through object {nxt!r}")
+            if nxt not in state:
+                state[nxt] = "open"
+                stack.append((nxt, iter(sorted(succ[nxt]))))
+
+
+def scan_composites(arrows, compose) -> None:
+    """The composition check that the one-pass composite table replaced:
+    every composable pair has a composite with the right endpoints, then
+    every composable triple associates."""
+    by_source: dict = {}
+    for f, (s, _) in sorted(arrows.items()):
+        by_source.setdefault(s, []).append(f)
+    for f, (_, tf) in arrows.items():
+        for g in by_source.get(tf, ()):
+            h = compose.get((f, g))
+            if h is None:
+                raise ValueError(f"missing composite of {f!r} and {g!r}")
+            if arrows[h] != (arrows[f][0], arrows[g][1]):
+                raise ValueError(f"composite {h!r} has wrong endpoints")
+    for (f, g), fg in compose.items():
+        for h in by_source.get(arrows[g][1], ()):
+            if compose[(fg, h)] != compose[(f, compose[(g, h)])]:
+                raise ValueError("composition is not associative")
+
+
+def category_mutants(rng: random.Random, category) -> list:
+    """(kind, arrows, composite table) for a category as built and three
+    mutants: two composites with different values swapped, one composite
+    dropped, and the reverse of one arrow added."""
+    arrows, table = category.arrows, category.compose
+    cases = [("built", arrows, table)]
+    keys = list(table)
+    if len({table[k] for k in keys}) >= 2:
+        while True:
+            a, b = rng.sample(keys, 2)
+            if table[a] != table[b]:
+                break
+        cases.append(("swapped", arrows, {**table, a: table[b], b: table[a]}))
+    if keys:
+        dropped = rng.choice(keys)
+        cases.append(("dropped", arrows, {k: h for k, h in table.items() if k != dropped}))
+    if arrows:
+        f = rng.choice(sorted(arrows))
+        s, t = arrows[f]
+        assert (t, s) not in arrows
+        cases.append(("reversed", {**arrows, (t, s): (t, s)}, table))
+    return cases
+
+
 @lru_cache(maxsize=None)
 def oracle_flows() -> tuple:
     """500 seeded random flows with one to three random relations on each
@@ -156,6 +231,46 @@ class TestOnePassClosure:
         gens = tuple((f"g{i}", f"s{i}", f"s{(i + 1) % n}") for i in range(n))
         with pytest.raises(LoopError):
             Flow(FlowPresentation(tuple(f"s{i}" for i in range(n)), gens))
+
+
+class TestOnePassCategoryChecks:
+    """``LoopFreeCategory`` accepts and rejects what the cycle search and
+    the composite scan it replaced accept and reject."""
+
+    @staticmethod
+    def rejected(objects, arrows, table) -> tuple[bool, bool]:
+        try:
+            scan_for_cycle(objects, arrows)
+            scan_composites(arrows, table)
+            old = False
+        except (CyclicCategory, ValueError):
+            old = True
+        try:
+            LoopFreeCategory(objects, arrows, lambda f, g: table.get((f, g)))
+            new = False
+        except (CyclicCategory, ValueError):
+            new = True
+        return old, new
+
+    def test_agrees_with_the_scans(self):
+        rng = random.Random(29)
+        categories = []
+        for _ in range(100):
+            flow = random_loopless_flow(rng, max_weight=300)
+            for sign in (MINUS, PLUS):
+                categories.extend(extension_category(flow, a, sign) for a in flow.states)
+        categories.extend(poset_category(random_poset(rng)) for _ in range(100))
+        verdicts = Counter()
+        for category in categories:
+            for kind, arrows, table in category_mutants(rng, category):
+                old, new = self.rejected(category.objects, arrows, table)
+                assert old == new, kind
+                verdicts[kind, new] += 1
+        assert verdicts["built", False] >= 1000 and not verdicts["built", True]
+        assert verdicts["dropped", True] >= 300 and not verdicts["dropped", False]
+        assert verdicts["reversed", True] >= 600 and not verdicts["reversed", False]
+        # a swap of two parallel composites can leave a valid category
+        assert verdicts["swapped", True] >= 200
 
 
 class TestElaborate:

@@ -266,14 +266,36 @@ class TestLoopFreeCategory:
             LoopFreeCategory(
                 ["a", "b"],
                 {"f": ("a", "b"), "g": ("b", "a")},
-                {("f", "g"): "f", ("g", "f"): "g"},
+                lambda f, g: f,
             )
+        # a -> b -> c -> a, with the composites a -> c, b -> a and c -> b
+        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("b", "a"), ("c", "b")]
+        with pytest.raises(CyclicCategory):
+            LoopFreeCategory(["a", "b", "c"], {f: f for f in pairs})
 
     def test_rejects_missing_composites(self):
         with pytest.raises(ValueError):
             LoopFreeCategory(
-                ["a", "b", "c"], {"f": ("a", "b"), "g": ("b", "c")}, {}
+                ["a", "b", "c"], {"f": ("a", "b"), "g": ("b", "c")}, lambda f, g: "h"
             )
+        # a < b < c without the arrow (a, c)
+        with pytest.raises(ValueError, match="not an arrow"):
+            LoopFreeCategory(["a", "b", "c"], {("a", "b"): ("a", "b"), ("b", "c"): ("b", "c")})
+
+    def test_rejects_a_composite_with_wrong_endpoints(self):
+        arrows = {"f": ("a", "b"), "g": ("b", "c"), "h": ("a", "c")}
+        with pytest.raises(ValueError, match="not an arrow"):
+            LoopFreeCategory(["a", "b", "c"], arrows, lambda f, g: "f")
+
+    def test_rejects_a_non_associative_rule(self):
+        # (f;g);h is k1 but f;(g;h) is k2, two parallel arrows a -> d
+        arrows = {
+            "f": ("a", "b"), "g": ("b", "c"), "h": ("c", "d"),
+            "fg": ("a", "c"), "gh": ("b", "d"), "k1": ("a", "d"), "k2": ("a", "d"),
+        }
+        rule = {("f", "g"): "fg", ("g", "h"): "gh", ("fg", "h"): "k1", ("f", "gh"): "k2"}
+        with pytest.raises(ValueError, match="associative"):
+            LoopFreeCategory(["a", "b", "c", "d"], arrows, lambda f, g: rule[(f, g)])
 
     def test_nerve_discrete(self):
         c = nerve(LoopFreeCategory(["a", "b"], {}))

@@ -47,6 +47,16 @@ class TestTMorphism:
         )
         assert ok and problems == []
 
+    def test_lookups_and_unknown_keys(self):
+        host, pattern, embedding = interval_refinement()
+        assert pattern.apply("p1") == "q1"
+        assert embedding.state_of("p0") == "s0"
+        assert embedding.choice("p0", "p1") == host.path_set("s0", "s1")[0]
+        for lookup, key in ((pattern.apply, ("q0",)), (embedding.state_of, ("s0",)),
+                            (embedding.choice, ("p1", "p0"))):
+            with pytest.raises(KeyError):
+                lookup(*key)
+
     def test_interval_to_diamond(self):
         diamond = Poset.from_relations(
             ["q0", "qa", "qb", "q1"],
